@@ -73,6 +73,12 @@ type Buf struct {
 	// the two is the group-read fill ratio.
 	prefetched atomic.Bool
 
+	// loaded is set once Data holds the block, just before ready is
+	// closed, so the hit path learns a buffer is usable from one atomic
+	// load instead of a receive on ready (each channel operation, even
+	// on a closed channel, takes the runtime's channel lock). A failed
+	// load never sets it: its waiters go through ready to loadErr.
+	loaded  atomic.Bool
 	loadErr error         // written before ready is closed
 	ready   chan struct{} // closed once Data is loaded (or the load failed)
 
@@ -103,8 +109,19 @@ func (b *Buf) Release() {
 
 // wait blocks until the buffer's load completes and reports its outcome.
 func (b *Buf) wait() error {
+	if b.loaded.Load() {
+		return nil
+	}
 	<-b.ready
 	return b.loadErr
+}
+
+// publish marks a successfully loaded buffer usable and wakes its
+// waiters. loaded is stored first: whoever observes it must never have
+// to wait on ready, and the store orders the Data writes before it.
+func (b *Buf) publish() {
+	b.loaded.Store(true)
+	close(b.ready)
 }
 
 // Stats counts cache activity. Misses counts demand misses only: blocks
@@ -359,7 +376,7 @@ func (c *Cache) Read(phys int64) (*Buf, error) {
 	if b := s.byPhys[phys]; b != nil {
 		b.pins.Add(1)
 		s.mu.Unlock()
-		if c.m.dedup != nil {
+		if c.m.dedup != nil && !b.loaded.Load() {
 			select {
 			case <-b.ready:
 			default:
@@ -393,7 +410,7 @@ func (c *Cache) Read(phys int64) (*Buf, error) {
 		c.fail(b, err)
 		return nil, err
 	}
-	close(b.ready)
+	b.publish()
 	return b, nil
 }
 
@@ -415,7 +432,7 @@ func (c *Cache) Alloc(phys int64) (*Buf, error) {
 		return b, nil
 	}
 	b := c.newBuf(phys)
-	close(b.ready) // zero-filled by construction; nothing to load
+	b.publish() // zero-filled by construction; nothing to load
 	b.pins.Add(1)
 	s.byPhys[phys] = b
 	c.n.Add(1)
@@ -689,7 +706,7 @@ func (c *Cache) ReadRun(start int64, count int) error {
 		}
 		c.prefFills.Add(int64(len(claimed)))
 		for _, b := range claimed {
-			close(b.ready)
+			b.publish()
 			b.Release()
 		}
 		i = j
@@ -797,7 +814,7 @@ claiming:
 	}
 	c.prefFills.Add(int64(len(all)))
 	for _, b := range all {
-		close(b.ready)
+		b.publish()
 		b.Release()
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 
 	"cffs/internal/blockio"
 	"cffs/internal/disk"
+	"cffs/internal/obs"
 	"cffs/internal/sched"
 	"cffs/internal/sim"
 )
@@ -371,4 +372,43 @@ func TestReleaseUnpinnedPanics(t *testing.T) {
 		}
 	}()
 	b.Release()
+}
+
+// A resident block is served with no allocation: the hit path is a
+// shard-map probe, an atomic pin, one atomic load of the loaded flag
+// and the (atomic) instruments of an attached registry.
+func TestAllocsReadHit(t *testing.T) {
+	c := newCache(t, 16)
+	c.SetMetrics(obs.NewRegistry())
+	fillDisk(t, c, 7, 0x5A)
+	read := func() {
+		b, err := c.Read(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Release()
+	}
+	read() // the miss that loads it
+	if got := testing.AllocsPerRun(100, read); got != 0 {
+		t.Errorf("cache.Read hit: %.1f allocs/op, want 0", got)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits < 100 {
+		t.Errorf("stats = %+v, want 1 miss and the rest hits", st)
+	}
+}
+
+// A failed load must reach its caller as the error, leave nothing
+// resident, and never be mistaken for a loaded buffer by a later hit.
+func TestFailedLoadIsNotAHit(t *testing.T) {
+	c := newCache(t, 16)
+	bad := c.Device().Blocks() + 1
+	for i := 0; i < 2; i++ {
+		if b, err := c.Read(bad); err == nil {
+			b.Release()
+			t.Fatalf("read %d of out-of-range block %d succeeded", i, bad)
+		}
+	}
+	if c.Len() != 0 || c.Stats().Hits != 0 {
+		t.Errorf("failed load left %d resident blocks, %d hits", c.Len(), c.Stats().Hits)
+	}
 }

@@ -412,14 +412,18 @@ func (s *checkState) walkDir(dir, parent vfs.Ino, path string) error {
 		if e.block < 1<<28 {
 			locs[idxLoc(e.block, e.slot)] = layout.DirNameHash(e.name)
 		}
-		switch e.name {
+		switch string(e.name) {
 		case ".":
 			dotOK = !e.embedded && e.ref == uint32(dir)
 		case "..":
 			dotdotOK = !e.embedded && e.ref == uint32(parent)
 		default:
 			if e.ftype == vfs.TypeDir && !e.embedded {
-				subs = append(subs, e)
+				// Recursed into after the scan, once the block is
+				// unpinned: the name must be a copy by then.
+				sub := e
+				sub.name = append([]byte(nil), e.name...)
+				subs = append(subs, sub)
 			}
 			s.checkEntry(dir, e, path)
 		}
@@ -463,7 +467,7 @@ func (s *checkState) walkDir(dir, parent vfs.Ino, path string) error {
 // parent's link count); a false return means the entry was scheduled
 // for removal.
 func (s *checkState) walkChild(e slotEntry, parent vfs.Ino, path string) (bool, error) {
-	name := path + e.name
+	name := path + string(e.name)
 	ino := e.ino()
 	idx := extIdx(ino)
 	if s.visited[idx] {
@@ -488,7 +492,7 @@ func (s *checkState) walkChild(e slotEntry, parent vfs.Ino, path string) (bool, 
 // checkEntry validates one live non-dot entry (for directories, only
 // the reference count here — the recursion is walkChild's).
 func (s *checkState) checkEntry(dir vfs.Ino, e slotEntry, path string) {
-	name := path + e.name
+	name := path + string(e.name)
 	if e.embedded {
 		ino := e.ino()
 		in, err := s.fs.getInode(ino)
@@ -780,7 +784,7 @@ func (s *checkState) fixDot(df dotFix) (bool, error) {
 	}
 	var off int
 	b, err := fs.forEachSlot(&in, df.dir, func(_ *cache.Buf, e slotEntry, used bool) bool {
-		if used && e.name == df.name {
+		if used && string(e.name) == df.name {
 			off = e.slot * slotSize
 			return true
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"cffs/internal/blockio"
 	"cffs/internal/cache"
@@ -39,9 +40,14 @@ const (
 	flagEmbedded  = 1
 )
 
-// slotEntry is a decoded directory slot.
+// slotEntry is a decoded directory slot. name is a view of the slot's
+// bytes inside the cached directory block, not a copy: it is valid only
+// while that block is pinned and fs.mu is held, which is what lets a
+// scan compare names where they lie (string(e.name) == name compiles to
+// a length check and a memequal) without allocating one string per slot
+// passed. Code that keeps a name beyond the pin copies it.
 type slotEntry struct {
-	name     string
+	name     []byte
 	ftype    vfs.FileType
 	ref      uint32 // external ino (meaningless for embedded entries)
 	embedded bool
@@ -63,13 +69,25 @@ func slotEmbedded(data []byte, off int) bool {
 	return slotUsed(data, off) && data[off+6]&flagEmbedded != 0
 }
 
-func readSlot(data []byte, off int, block int64, slot int) slotEntry {
+// slotName views a used slot's name in place. The on-disk length is
+// clamped to the name area, so a corrupt namelen can never reach into
+// the embedded inode.
+func slotName(data []byte, off int) []byte {
 	nl := int(data[off+5])
 	if nl > slotNameMax {
 		nl = slotNameMax
 	}
+	return data[off+slotNameOff : off+slotNameOff+nl : off+slotNameOff+nl]
+}
+
+// isDotName reports whether a slot name is "." or "..".
+func isDotName(name []byte) bool {
+	return string(name) == "." || string(name) == ".."
+}
+
+func readSlot(data []byte, off int, block int64, slot int) slotEntry {
 	return slotEntry{
-		name:     string(data[off+slotNameOff : off+slotNameOff+nl]),
+		name:     slotName(data, off),
 		ftype:    vfs.FileType(data[off+4]),
 		ref:      leBytes{data}.u32(off),
 		embedded: data[off+6]&flagEmbedded != 0,
@@ -138,9 +156,10 @@ func (fs *FS) initDirData(in *layout.Inode, self, parent vfs.Ino) error {
 	return nil
 }
 
-// forEachSlot walks every slot of a directory. fn returning true stops
-// the walk and hands the pinned buffer to the caller.
-func (fs *FS) forEachSlot(in *layout.Inode, dir vfs.Ino, fn func(b *cache.Buf, e slotEntry, used bool) bool) (*cache.Buf, error) {
+// forEachDirBlock walks a directory's blocks in logical order, pinning
+// each for the duration of fn. fn returning true stops the walk and
+// hands the still-pinned buffer to the caller.
+func (fs *FS) forEachDirBlock(in *layout.Inode, dir vfs.Ino, fn func(b *cache.Buf) bool) (*cache.Buf, error) {
 	nblocks := in.Size / blockio.BlockSize
 	for lb := int64(0); lb < nblocks; lb++ {
 		phys, err := fs.bmap(in, dir, lb, false)
@@ -150,38 +169,50 @@ func (fs *FS) forEachSlot(in *layout.Inode, dir vfs.Ino, fn func(b *cache.Buf, e
 		if phys == 0 {
 			return nil, fmt.Errorf("cffs: directory %#x has a hole at block %d", uint64(dir), lb)
 		}
-		// With group readahead in effect, directory blocks take the
-		// grouped read path: the first lookup in a cold directory then
-		// fans the directory's whole working set (names, embedded
-		// inodes, and its small files' data) across the spindles. On a
-		// plain disk the fan is zero and a scan that wants only the
-		// names would pay 16x its data in group fills, so dir blocks
-		// read singly there — the seed behaviour.
-		var b *cache.Buf
-		if fs.groupReadFan() > 0 {
-			b, err = fs.readBlockGrouped(phys)
-		} else {
-			b, err = fs.c.Read(phys)
-		}
+		b, err := fs.readDirBlock(phys)
 		if err != nil {
 			return nil, err
 		}
-		for s := 0; s < slotsPerBlock; s++ {
-			off := s * slotSize
-			used := slotUsed(b.Data, off)
-			var e slotEntry
-			if used {
-				e = readSlot(b.Data, off, phys, s)
-			} else {
-				e = slotEntry{block: phys, slot: s}
-			}
-			if fn(b, e, used) {
-				return b, nil
-			}
+		if fn(b) {
+			return b, nil
 		}
 		b.Release()
 	}
 	return nil, nil
+}
+
+// readDirBlock reads one directory (or index) block. With group
+// readahead in effect, directory blocks take the grouped read path: the
+// first lookup in a cold directory then fans the directory's whole
+// working set (names, embedded inodes, and its small files' data)
+// across the spindles. On a plain disk the fan is zero and a scan that
+// wants only the names would pay 16x its data in group fills, so dir
+// blocks read singly there — the seed behaviour.
+func (fs *FS) readDirBlock(phys int64) (*cache.Buf, error) {
+	if fs.groupReadFan() > 0 {
+		return fs.readBlockGrouped(phys)
+	}
+	return fs.c.Read(phys)
+}
+
+// forEachSlot walks every slot of a directory. fn returning true stops
+// the walk and hands the pinned buffer to the caller. The entry's name
+// is a view into b (see slotEntry); fn must not retain it.
+func (fs *FS) forEachSlot(in *layout.Inode, dir vfs.Ino, fn func(b *cache.Buf, e slotEntry, used bool) bool) (*cache.Buf, error) {
+	return fs.forEachDirBlock(in, dir, func(b *cache.Buf) bool {
+		for s := 0; s < slotsPerBlock; s++ {
+			off := s * slotSize
+			used := slotUsed(b.Data, off)
+			e := slotEntry{block: b.Block, slot: s}
+			if used {
+				e = readSlot(b.Data, off, b.Block, s)
+			}
+			if fn(b, e, used) {
+				return true
+			}
+		}
+		return false
+	})
 }
 
 // dirLookup finds a live entry by name; the returned buffer is pinned.
@@ -201,7 +232,7 @@ func (fs *FS) dirLookup(in *layout.Inode, dir vfs.Ino, name string) (*cache.Buf,
 	}
 	var found slotEntry
 	b, err := fs.forEachSlot(in, dir, func(_ *cache.Buf, e slotEntry, used bool) bool {
-		if used && e.name == name {
+		if used && string(e.name) == name {
 			found = e
 			return true
 		}
@@ -319,7 +350,7 @@ func (fs *FS) dirPrepareCreate(in *layout.Inode, dir vfs.Ino, name string) (*cac
 	var haveFree bool
 	b, err := fs.forEachSlot(in, dir, func(_ *cache.Buf, e slotEntry, used bool) bool {
 		if used {
-			return e.name == name
+			return string(e.name) == name
 		}
 		if !haveFree {
 			free, haveFree = e, true
@@ -375,7 +406,7 @@ func (fs *FS) dirIsEmpty(in *layout.Inode, dir vfs.Ino) (bool, error) {
 	}
 	empty := true
 	b, err := fs.forEachSlot(in, dir, func(_ *cache.Buf, e slotEntry, used bool) bool {
-		if used && e.name != "." && e.name != ".." {
+		if used && !isDotName(e.name) {
 			empty = false
 			return true
 		}
@@ -387,14 +418,45 @@ func (fs *FS) dirIsEmpty(in *layout.Inode, dir vfs.Ino) (bool, error) {
 	return empty, err
 }
 
-// dirList collects live entries, excluding "." and "..".
+// dirList collects live entries, excluding "." and "..". The result is
+// sized once from the directory's block count, and each block's names
+// are copied out of the cache with one allocation: a single string per
+// block that the block's entries are sliced from. Nothing returned
+// aliases a cache buffer.
 func (fs *FS) dirList(in *layout.Inode, dir vfs.Ino) ([]vfs.DirEntry, error) {
-	var ents []vfs.DirEntry
-	_, err := fs.forEachSlot(in, dir, func(_ *cache.Buf, e slotEntry, used bool) bool {
-		if used && e.name != "." && e.name != ".." {
-			ents = append(ents, vfs.DirEntry{Name: e.name, Ino: e.ino(), Type: e.ftype})
-		}
+	ents := make([]vfs.DirEntry, 0, in.Size/blockio.BlockSize*slotsPerBlock)
+	_, err := fs.forEachDirBlock(in, dir, func(b *cache.Buf) bool {
+		ents = appendBlockEntries(ents, b)
 		return false
 	})
 	return ents, err
+}
+
+// appendBlockEntries appends the entries of one directory block that
+// ReadDir lists: used slots other than "." and "..".
+func appendBlockEntries(ents []vfs.DirEntry, b *cache.Buf) []vfs.DirEntry {
+	var listed [slotsPerBlock][]byte // name view per listed slot, else nil
+	total := 0
+	for s := range listed {
+		if off := s * slotSize; slotUsed(b.Data, off) {
+			if name := slotName(b.Data, off); !isDotName(name) {
+				listed[s] = name
+				total += len(name)
+			}
+		}
+	}
+	// Sized exactly, the builder never reallocates, so every entry's
+	// name is a slice of the one string it ends up holding.
+	var names strings.Builder
+	names.Grow(total)
+	for s, name := range listed {
+		if name == nil {
+			continue
+		}
+		start := names.Len()
+		names.Write(name)
+		e := readSlot(b.Data, s*slotSize, b.Block, s)
+		ents = append(ents, vfs.DirEntry{Name: names.String()[start:], Ino: e.ino(), Type: e.ftype})
+	}
+	return ents
 }

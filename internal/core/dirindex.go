@@ -96,15 +96,6 @@ func (fs *FS) idxForget(dir vfs.Ino) {
 	fs.idxMu.Unlock()
 }
 
-// readDirBlock reads one directory (or index) block under the same
-// grouped-read policy forEachSlot uses.
-func (fs *FS) readDirBlock(phys int64) (*cache.Buf, error) {
-	if fs.groupReadFan() > 0 {
-		return fs.readBlockGrouped(phys)
-	}
-	return fs.c.Read(phys)
-}
-
 // idxValidPhys bounds-checks a physical block number read from an index
 // structure before it is dereferenced.
 func (fs *FS) idxValidPhys(phys int64) bool {
@@ -158,7 +149,7 @@ func (fs *FS) idxLookup(in *layout.Inode, dir vfs.Ino, name string) (b *cache.Bu
 		off := idxLocSlot(loc) * slotSize
 		if slotUsed(sb.Data, off) {
 			se := readSlot(sb.Data, off, phys, idxLocSlot(loc))
-			if se.name == name {
+			if string(se.name) == name {
 				bb.Release()
 				return sb, se, true, true, nil
 			}

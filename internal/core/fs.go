@@ -177,7 +177,9 @@ func (fs *FS) externalize(old vfs.Ino) (vfs.Ino, error) {
 	if err != nil {
 		return 0, err
 	}
-	e := readSlot(b.Data, slot*slotSize, block, slot)
+	// The name outlives this pin (the entry is rewritten below, after
+	// the external copy is durable), so it is copied out of the block.
+	name := string(slotName(b.Data, slot*slotSize))
 	b.Release()
 
 	idx, err := fs.allocExtInode(int(mix64(uint64(in.Parent)) % uint64(fs.sb.NAG)))
@@ -193,7 +195,7 @@ func (fs *FS) externalize(old vfs.Ino) (vfs.Ino, error) {
 	if err != nil {
 		return 0, err
 	}
-	writeSlotExternal(b.Data, slot*slotSize, e.name, ino, in.Type)
+	writeSlotExternal(b.Data, slot*slotSize, name, ino, in.Type)
 	if err := fs.syncMeta(b); err != nil {
 		b.Release()
 		return 0, err

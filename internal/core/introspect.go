@@ -236,7 +236,7 @@ func (fs *FS) walkLayout(r *LayoutReport, dir vfs.Ino) error {
 			return false
 		}
 		r.SlotsUsed++
-		if e.name == "." || e.name == ".." {
+		if isDotName(e.name) {
 			return false
 		}
 		if e.embedded {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"cffs/internal/obs"
 	"cffs/internal/vfs"
 )
@@ -62,16 +64,29 @@ import (
 // nDirStripes is the size of the striped directory lock table.
 const nDirStripes = 64
 
-// lockDir locks the stripe of one directory and returns the unlock.
-func (fs *FS) lockDir(dir vfs.Ino) func() {
+// dirLock is the held stripe lock(s) of one or two directories,
+// returned by value so a namespace operation's defer allocates nothing.
+// hi is nil when a single stripe covers the operation.
+type dirLock struct{ lo, hi *sync.Mutex }
+
+// Unlock releases the stripes in reverse acquisition order.
+func (l dirLock) Unlock() {
+	if l.hi != nil {
+		l.hi.Unlock()
+	}
+	l.lo.Unlock()
+}
+
+// lockDir locks the stripe of one directory.
+func (fs *FS) lockDir(dir vfs.Ino) dirLock {
 	m := &fs.dirLocks[mix64(uint64(dir))%nDirStripes]
 	m.Lock()
-	return m.Unlock
+	return dirLock{lo: m}
 }
 
 // lockDirPair locks the stripes of two directories in stripe order,
-// deduplicating, and returns the unlock.
-func (fs *FS) lockDirPair(a, b vfs.Ino) func() {
+// deduplicating.
+func (fs *FS) lockDirPair(a, b vfs.Ino) dirLock {
 	sa := mix64(uint64(a)) % nDirStripes
 	sb := mix64(uint64(b)) % nDirStripes
 	if sa == sb {
@@ -80,17 +95,15 @@ func (fs *FS) lockDirPair(a, b vfs.Ino) func() {
 	if sb < sa {
 		sa, sb = sb, sa
 	}
-	fs.dirLocks[sa].Lock()
-	fs.dirLocks[sb].Lock()
-	return func() {
-		fs.dirLocks[sb].Unlock()
-		fs.dirLocks[sa].Unlock()
-	}
+	l := dirLock{lo: &fs.dirLocks[sa], hi: &fs.dirLocks[sb]}
+	l.lo.Lock()
+	l.hi.Lock()
+	return l
 }
 
 // Lookup implements vfs.FileSystem.
 func (fs *FS) Lookup(dir vfs.Ino, name string) (vfs.Ino, error) {
-	defer fs.trk.Begin(obs.OpLookup)()
+	defer fs.trk.Begin(obs.OpLookup).End()
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	return fs.lookup(dir, name)
@@ -98,11 +111,11 @@ func (fs *FS) Lookup(dir vfs.Ino, name string) (vfs.Ino, error) {
 
 // Create implements vfs.FileSystem.
 func (fs *FS) Create(dir vfs.Ino, name string) (vfs.Ino, error) {
-	defer fs.trk.Begin(obs.OpCreate)()
+	defer fs.trk.Begin(obs.OpCreate).End()
 	fs.wb.Admit()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	defer fs.lockDir(dir)()
+	defer fs.lockDir(dir).Unlock()
 	if err := fs.markUnclean(); err != nil {
 		return 0, err
 	}
@@ -111,11 +124,11 @@ func (fs *FS) Create(dir vfs.Ino, name string) (vfs.Ino, error) {
 
 // Mkdir implements vfs.FileSystem.
 func (fs *FS) Mkdir(dir vfs.Ino, name string) (vfs.Ino, error) {
-	defer fs.trk.Begin(obs.OpMkdir)()
+	defer fs.trk.Begin(obs.OpMkdir).End()
 	fs.wb.Admit()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	defer fs.lockDir(dir)()
+	defer fs.lockDir(dir).Unlock()
 	if err := fs.markUnclean(); err != nil {
 		return 0, err
 	}
@@ -124,11 +137,11 @@ func (fs *FS) Mkdir(dir vfs.Ino, name string) (vfs.Ino, error) {
 
 // Link implements vfs.FileSystem.
 func (fs *FS) Link(dir vfs.Ino, name string, target vfs.Ino) error {
-	defer fs.trk.Begin(obs.OpLink)()
+	defer fs.trk.Begin(obs.OpLink).End()
 	fs.wb.Admit()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	defer fs.lockDir(dir)()
+	defer fs.lockDir(dir).Unlock()
 	if err := fs.markUnclean(); err != nil {
 		return err
 	}
@@ -139,11 +152,11 @@ func (fs *FS) Link(dir vfs.Ino, name string, target vfs.Ino) error {
 
 // Unlink implements vfs.FileSystem.
 func (fs *FS) Unlink(dir vfs.Ino, name string) error {
-	defer fs.trk.Begin(obs.OpUnlink)()
+	defer fs.trk.Begin(obs.OpUnlink).End()
 	fs.wb.Admit()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	defer fs.lockDir(dir)()
+	defer fs.lockDir(dir).Unlock()
 	if err := fs.markUnclean(); err != nil {
 		return err
 	}
@@ -154,11 +167,11 @@ func (fs *FS) Unlink(dir vfs.Ino, name string) error {
 
 // Rmdir implements vfs.FileSystem.
 func (fs *FS) Rmdir(dir vfs.Ino, name string) error {
-	defer fs.trk.Begin(obs.OpRmdir)()
+	defer fs.trk.Begin(obs.OpRmdir).End()
 	fs.wb.Admit()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	defer fs.lockDir(dir)()
+	defer fs.lockDir(dir).Unlock()
 	if err := fs.markUnclean(); err != nil {
 		return err
 	}
@@ -171,11 +184,11 @@ func (fs *FS) Rmdir(dir vfs.Ino, name string) error {
 // ino is also the prefix invalidation: every cached path that resolved
 // through a moved directory carried its ino in its chain.
 func (fs *FS) Rename(sdir vfs.Ino, sname string, ddir vfs.Ino, dname string) error {
-	defer fs.trk.Begin(obs.OpRename)()
+	defer fs.trk.Begin(obs.OpRename).End()
 	fs.wb.Admit()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	defer fs.lockDirPair(sdir, ddir)()
+	defer fs.lockDirPair(sdir, ddir).Unlock()
 	if err := fs.markUnclean(); err != nil {
 		return err
 	}
@@ -187,7 +200,7 @@ func (fs *FS) Rename(sdir vfs.Ino, sname string, ddir vfs.Ino, dname string) err
 
 // ReadDir implements vfs.FileSystem.
 func (fs *FS) ReadDir(dir vfs.Ino) ([]vfs.DirEntry, error) {
-	defer fs.trk.Begin(obs.OpReadDir)()
+	defer fs.trk.Begin(obs.OpReadDir).End()
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	return fs.readDir(dir)
@@ -195,7 +208,7 @@ func (fs *FS) ReadDir(dir vfs.Ino) ([]vfs.DirEntry, error) {
 
 // Stat implements vfs.FileSystem.
 func (fs *FS) Stat(ino vfs.Ino) (vfs.Stat, error) {
-	defer fs.trk.Begin(obs.OpStat)()
+	defer fs.trk.Begin(obs.OpStat).End()
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	return fs.stat(ino)
@@ -203,7 +216,7 @@ func (fs *FS) Stat(ino vfs.Ino) (vfs.Stat, error) {
 
 // Truncate implements vfs.FileSystem.
 func (fs *FS) Truncate(ino vfs.Ino, size int64) error {
-	defer fs.trk.Begin(obs.OpTruncate)()
+	defer fs.trk.Begin(obs.OpTruncate).End()
 	fs.wb.Admit()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -215,7 +228,7 @@ func (fs *FS) Truncate(ino vfs.Ino, size int64) error {
 
 // ReadAt implements vfs.FileSystem.
 func (fs *FS) ReadAt(ino vfs.Ino, p []byte, off int64) (int, error) {
-	defer fs.trk.Begin(obs.OpReadAt)()
+	defer fs.trk.Begin(obs.OpReadAt).End()
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	return fs.readAt(ino, p, off)
@@ -223,7 +236,7 @@ func (fs *FS) ReadAt(ino vfs.Ino, p []byte, off int64) (int, error) {
 
 // WriteAt implements vfs.FileSystem.
 func (fs *FS) WriteAt(ino vfs.Ino, p []byte, off int64) (int, error) {
-	defer fs.trk.Begin(obs.OpWriteAt)()
+	defer fs.trk.Begin(obs.OpWriteAt).End()
 	fs.wb.Admit()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -235,7 +248,7 @@ func (fs *FS) WriteAt(ino vfs.Ino, p []byte, off int64) (int, error) {
 
 // Sync implements vfs.FileSystem.
 func (fs *FS) Sync() error {
-	defer fs.trk.Begin(obs.OpSync)()
+	defer fs.trk.Begin(obs.OpSync).End()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return fs.sync()
@@ -243,7 +256,7 @@ func (fs *FS) Sync() error {
 
 // Flush implements vfs.Flusher.
 func (fs *FS) Flush() error {
-	defer fs.trk.Begin(obs.OpFlush)()
+	defer fs.trk.Begin(obs.OpFlush).End()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return fs.flush()
@@ -257,7 +270,7 @@ func (fs *FS) Flush() error {
 // indexes distrusted) — never the other way around.
 func (fs *FS) Close() error {
 	fs.wb.Close()
-	defer fs.trk.Begin(obs.OpSync)()
+	defer fs.trk.Begin(obs.OpSync).End()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if err := fs.sync(); err != nil {

@@ -93,6 +93,16 @@ func pathShardOf(key string) int {
 // pathKey canonicalizes split components back into one cache key.
 func pathKey(comps []string) string { return "/" + strings.Join(comps, "/") }
 
+// isPathKey reports whether path already is the key pathKey would
+// rebuild from its components: absolute, at least one component, none
+// of them empty or ".", no trailing slash. Such a path probes the cache
+// as it stands — no split, no join, no allocation on a hit.
+func isPathKey(path string) bool {
+	return len(path) > 1 && path[0] == '/' && path[len(path)-1] != '/' &&
+		!strings.Contains(path, "//") && !strings.Contains(path, "/./") &&
+		!strings.HasSuffix(path, "/.")
+}
+
 // get probes the cache. Nil-safe.
 func (pc *pathCache) get(key string) (vfs.Ino, bool) {
 	if pc == nil {
@@ -183,18 +193,28 @@ func (pc *pathCache) invalidate(ino vfs.Ino) {
 }
 
 // WalkPath resolves a whole absolute path in one call — the
-// vfs.PathWalker capability. A cache hit returns immediately; a miss
-// resolves component by component under the shared FS lock (each
-// component tracked as a lookup op, exactly like vfs.Walk's fallback
-// loop would) and inserts the result before the lock is released.
+// vfs.PathWalker capability. A cache hit returns immediately (a path
+// already in key form is probed as given, so the hit allocates
+// nothing); a miss resolves component by component under the shared FS
+// lock (each component tracked as a lookup op, exactly like vfs.Walk's
+// fallback loop would) and inserts the result before the lock is
+// released.
 func (fs *FS) WalkPath(path string) (vfs.Ino, error) {
+	key, probed := path, isPathKey(path)
+	if probed {
+		if ino, ok := fs.pc.get(key); ok {
+			return ino, nil
+		}
+	}
 	comps := vfs.SplitPath(path)
 	if len(comps) == 0 {
 		return RootIno, nil
 	}
-	key := pathKey(comps)
-	if ino, ok := fs.pc.get(key); ok {
-		return ino, nil
+	if !probed {
+		key = pathKey(comps)
+		if ino, ok := fs.pc.get(key); ok {
+			return ino, nil
+		}
 	}
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -202,9 +222,9 @@ func (fs *FS) WalkPath(path string) (vfs.Ino, error) {
 	chain := make([]vfs.Ino, 1, len(comps)+1)
 	chain[0] = cur
 	for _, c := range comps {
-		end := fs.trk.Begin(obs.OpLookup)
+		op := fs.trk.Begin(obs.OpLookup)
 		next, err := fs.lookup(cur, c)
-		end()
+		op.End()
 		if err != nil {
 			return 0, fmt.Errorf("walk %s at %q: %w", path, c, err)
 		}

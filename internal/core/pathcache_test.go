@@ -165,3 +165,57 @@ func TestPathCacheDisabled(t *testing.T) {
 		}
 	}
 }
+
+// isPathKey must accept exactly the strings pathKey would rebuild: those
+// are probed as given, and a path it wrongly accepted would be cached
+// under a key no invalidation or canonical spelling ever meets.
+func TestIsPathKeyMatchesPathKey(t *testing.T) {
+	for _, p := range []string{
+		"", "/", "//", "/.", "/./", ".", "a", "a/b", "/a", "/a/", "/a/b", "/a//b", "//a", "/a/./b",
+		"/a/.", "/./a", "/a/..", "/../a", "/.a", "/a.", "/a/.b/c.", "/a/b/c/d/leaf", "/a/b/", "/ ", "/a/ /b",
+	} {
+		comps := vfs.SplitPath(p)
+		want := len(comps) > 0 && pathKey(comps) == p
+		if got := isPathKey(p); got != want {
+			t.Errorf("isPathKey(%q) = %v, want %v (components %q)", p, got, want, comps)
+		}
+	}
+}
+
+// Every spelling of a path shares one cache entry: a canonical spelling
+// is probed as given, any other is canonicalized first, and each walk
+// records exactly one hit or one miss.
+func TestPathCacheSpellings(t *testing.T) {
+	fs := newPCFS(t)
+	mustTree(t, fs, []string{"/a/b"}, []string{"/a/b/leaf"})
+	want, err := vfs.Walk(fs, "/a/b/leaf") // the miss that fills the entry
+	if err != nil {
+		t.Fatal(err)
+	}
+	inserts := fs.pc.inserts.Value()
+	for _, p := range []string{"/a/b/leaf", "a/b/leaf", "//a/./b//leaf/", "/a/b/leaf/."} {
+		h0, m0 := fs.pc.hits.Value(), fs.pc.misses.Value()
+		got, err := vfs.Walk(fs, p)
+		if err != nil || got != want {
+			t.Fatalf("Walk(%q) = %#x, %v; want %#x", p, uint64(got), err, uint64(want))
+		}
+		if h, m := fs.pc.hits.Value()-h0, fs.pc.misses.Value()-m0; h != 1 || m != 0 {
+			t.Errorf("Walk(%q): %d hits, %d misses; want 1 hit", p, h, m)
+		}
+	}
+	if got := fs.pc.inserts.Value(); got != inserts {
+		t.Errorf("respelled walks inserted %d more entries", got-inserts)
+	}
+	m0 := fs.pc.misses.Value()
+	if _, err := vfs.Walk(fs, "/a/b/nope"); !errors.Is(err, vfs.ErrNotExist) {
+		t.Fatalf("Walk of a missing name: %v", err)
+	}
+	if got := fs.pc.misses.Value() - m0; got != 1 {
+		t.Errorf("a missing canonical path recorded %d misses, want 1", got)
+	}
+	for _, p := range []string{"", "/", "/.", "//"} {
+		if got, err := vfs.Walk(fs, p); err != nil || got != fs.Root() {
+			t.Errorf("Walk(%q) = %#x, %v; want the root", p, uint64(got), err)
+		}
+	}
+}

@@ -13,7 +13,7 @@ import (
 
 // ReadAt implements vfs.FileSystem.
 func (fs *FS) ReadAt(ino vfs.Ino, p []byte, off int64) (int, error) {
-	defer fs.trk.Begin(obs.OpReadAt)()
+	defer fs.trk.Begin(obs.OpReadAt).End()
 	in, err := fs.getLiveInode(ino)
 	if err != nil {
 		return 0, err
@@ -63,7 +63,7 @@ func (fs *FS) ReadAt(ino vfs.Ino, p []byte, off int64) (int, error) {
 
 // WriteAt implements vfs.FileSystem.
 func (fs *FS) WriteAt(ino vfs.Ino, p []byte, off int64) (int, error) {
-	defer fs.trk.Begin(obs.OpWriteAt)()
+	defer fs.trk.Begin(obs.OpWriteAt).End()
 	fs.wb.Admit()
 	in, err := fs.getLiveInode(ino)
 	if err != nil {

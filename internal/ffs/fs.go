@@ -16,7 +16,7 @@ import (
 
 // Lookup implements vfs.FileSystem.
 func (fs *FS) Lookup(dir vfs.Ino, name string) (vfs.Ino, error) {
-	defer fs.trk.Begin(obs.OpLookup)()
+	defer fs.trk.Begin(obs.OpLookup).End()
 	din, err := fs.getLiveInode(dir)
 	if err != nil {
 		return 0, err
@@ -34,7 +34,7 @@ func (fs *FS) Lookup(dir vfs.Ino, name string) (vfs.Ino, error) {
 
 // Create implements vfs.FileSystem.
 func (fs *FS) Create(dir vfs.Ino, name string) (vfs.Ino, error) {
-	defer fs.trk.Begin(obs.OpCreate)()
+	defer fs.trk.Begin(obs.OpCreate).End()
 	fs.wb.Admit()
 	if err := checkName(name); err != nil {
 		return 0, err
@@ -84,7 +84,7 @@ func (fs *FS) Create(dir vfs.Ino, name string) (vfs.Ino, error) {
 
 // Mkdir implements vfs.FileSystem.
 func (fs *FS) Mkdir(dir vfs.Ino, name string) (vfs.Ino, error) {
-	defer fs.trk.Begin(obs.OpMkdir)()
+	defer fs.trk.Begin(obs.OpMkdir).End()
 	fs.wb.Admit()
 	if err := checkName(name); err != nil {
 		return 0, err
@@ -154,7 +154,7 @@ func (fs *FS) Mkdir(dir vfs.Ino, name string) (vfs.Ino, error) {
 
 // Link implements vfs.FileSystem.
 func (fs *FS) Link(dir vfs.Ino, name string, target vfs.Ino) error {
-	defer fs.trk.Begin(obs.OpLink)()
+	defer fs.trk.Begin(obs.OpLink).End()
 	fs.wb.Admit()
 	if err := checkName(name); err != nil {
 		return err
@@ -202,7 +202,7 @@ func (fs *FS) Link(dir vfs.Ino, name string, target vfs.Ino) error {
 
 // Unlink implements vfs.FileSystem.
 func (fs *FS) Unlink(dir vfs.Ino, name string) error {
-	defer fs.trk.Begin(obs.OpUnlink)()
+	defer fs.trk.Begin(obs.OpUnlink).End()
 	fs.wb.Admit()
 	din, err := fs.getLiveInode(dir)
 	if err != nil {
@@ -259,7 +259,7 @@ func (fs *FS) Unlink(dir vfs.Ino, name string) error {
 
 // Rmdir implements vfs.FileSystem.
 func (fs *FS) Rmdir(dir vfs.Ino, name string) error {
-	defer fs.trk.Begin(obs.OpRmdir)()
+	defer fs.trk.Begin(obs.OpRmdir).End()
 	fs.wb.Admit()
 	din, err := fs.getLiveInode(dir)
 	if err != nil {
@@ -316,7 +316,7 @@ func (fs *FS) Rmdir(dir vfs.Ino, name string) error {
 
 // Rename implements vfs.FileSystem. Only regular files can be replaced.
 func (fs *FS) Rename(sdir vfs.Ino, sname string, ddir vfs.Ino, dname string) error {
-	defer fs.trk.Begin(obs.OpRename)()
+	defer fs.trk.Begin(obs.OpRename).End()
 	fs.wb.Admit()
 	if sname == "." || sname == ".." {
 		return vfs.ErrInvalid
@@ -437,7 +437,7 @@ func (fs *FS) Rename(sdir vfs.Ino, sname string, ddir vfs.Ino, dname string) err
 
 // ReadDir implements vfs.FileSystem.
 func (fs *FS) ReadDir(dir vfs.Ino) ([]vfs.DirEntry, error) {
-	defer fs.trk.Begin(obs.OpReadDir)()
+	defer fs.trk.Begin(obs.OpReadDir).End()
 	din, err := fs.getLiveInode(dir)
 	if err != nil {
 		return nil, err
@@ -450,7 +450,7 @@ func (fs *FS) ReadDir(dir vfs.Ino) ([]vfs.DirEntry, error) {
 
 // Stat implements vfs.FileSystem.
 func (fs *FS) Stat(ino vfs.Ino) (vfs.Stat, error) {
-	defer fs.trk.Begin(obs.OpStat)()
+	defer fs.trk.Begin(obs.OpStat).End()
 	in, err := fs.getLiveInode(ino)
 	if err != nil {
 		return vfs.Stat{}, err
@@ -467,7 +467,7 @@ func (fs *FS) Stat(ino vfs.Ino) (vfs.Stat, error) {
 
 // Truncate implements vfs.FileSystem.
 func (fs *FS) Truncate(ino vfs.Ino, size int64) error {
-	defer fs.trk.Begin(obs.OpTruncate)()
+	defer fs.trk.Begin(obs.OpTruncate).End()
 	fs.wb.Admit()
 	in, err := fs.getLiveInode(ino)
 	if err != nil {

@@ -304,14 +304,14 @@ func (fs *FS) Device() *blockio.Device { return fs.dev }
 
 // Sync implements vfs.FileSystem.
 func (fs *FS) Sync() error {
-	defer fs.trk.Begin(obs.OpSync)()
+	defer fs.trk.Begin(obs.OpSync).End()
 	return fs.c.Sync()
 }
 
 // Flush implements vfs.Flusher: write everything back and empty the
 // cache, so the next access pattern starts cold.
 func (fs *FS) Flush() error {
-	defer fs.trk.Begin(obs.OpFlush)()
+	defer fs.trk.Begin(obs.OpFlush).End()
 	return fs.c.Flush()
 }
 

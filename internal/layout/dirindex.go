@@ -100,8 +100,9 @@ func SetDirIndexEntry(p []byte, k int, hash, loc uint32) {
 
 // DirNameHash is the index's name hash (FNV-1a, 32-bit). Entries store
 // the full hash so bucket probes can reject non-matches without reading
-// the slot block.
-func DirNameHash(name string) uint32 {
+// the slot block. It hashes a name held either way: a caller's string,
+// or the bytes of a directory slot viewed in place.
+func DirNameHash[S string | []byte](name S) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(name); i++ {
 		h ^= uint32(name[i])

@@ -332,7 +332,7 @@ func (fs *FS) Cache() *cache.Cache { return fs.c }
 // the inode map, then the checkpoint — one forward pass of segment
 // writes plus a checkpoint write, the LFS discipline.
 func (fs *FS) Sync() error {
-	defer fs.trk.Begin(obs.OpSync)()
+	defer fs.trk.Begin(obs.OpSync).End()
 	// 1. Data blocks (addresses were assigned at write time, in log
 	// order, so the scheduler merges them into large sequential writes).
 	if err := fs.c.Sync(); err != nil {
@@ -355,7 +355,7 @@ func (fs *FS) Sync() error {
 
 // Flush implements vfs.Flusher.
 func (fs *FS) Flush() error {
-	defer fs.trk.Begin(obs.OpFlush)()
+	defer fs.trk.Begin(obs.OpFlush).End()
 	if err := fs.Sync(); err != nil {
 		return err
 	}

@@ -169,11 +169,11 @@ func TestOpContextNesting(t *testing.T) {
 	if got := CurrentOp(); got.Kind != OpLookup || got.ID <= outer.ID {
 		t.Fatalf("nested op = %+v (outer %+v)", got, outer)
 	}
-	endInner()
+	endInner.End()
 	if got := CurrentOp(); got != outer {
 		t.Fatalf("after inner end: %+v, want restored %+v", got, outer)
 	}
-	end()
+	end.End()
 	if got := CurrentOp(); got != (OpRef{}) {
 		t.Fatalf("after outer end: %+v, want zero", got)
 	}
@@ -196,9 +196,9 @@ func TestDisabledTracker(t *testing.T) {
 	if got := CurrentOp(); got != (OpRef{}) {
 		t.Fatalf("disabled Begin installed a context: %+v", got)
 	}
-	end()
+	end.End()
 	var nilTrk *OpTracker
-	nilTrk.Begin(OpReadAt)() // must not panic
+	nilTrk.Begin(OpReadAt).End() // must not panic
 }
 
 // The ambient op stack must unwind by identity: when operations from
@@ -214,11 +214,11 @@ func TestOpOverlapUnwind(t *testing.T) {
 	if b.Kind != OpReadAt || b.ID <= a.ID {
 		t.Fatalf("second op = %+v (first %+v)", b, a)
 	}
-	endA() // out-of-order: the older op ends first
+	endA.End() // out-of-order: the older op ends first
 	if got := CurrentOp(); got != b {
 		t.Fatalf("after ending older op: %+v, want %+v still current", got, b)
 	}
-	endB()
+	endB.End()
 	if got := CurrentOp(); got != (OpRef{}) {
 		t.Fatalf("after all ends: %+v, want zero", got)
 	}
@@ -277,7 +277,7 @@ func TestRaceStress(t *testing.T) {
 				r.Counter("shared").Inc()
 				r.Gauge("level").Set(int64(i))
 				r.Histogram("h").Record(int64(i))
-				end()
+				end.End()
 			}
 		}()
 	}
@@ -306,14 +306,45 @@ func BenchmarkBeginEnd(b *testing.B) {
 	trk := NewOpTracker(NewRegistry())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		trk.Begin(OpReadAt)()
+		trk.Begin(OpReadAt).End()
 	}
 }
 
 func BenchmarkCurrentOpRaw(b *testing.B) {
-	defer NewOpTracker(NewRegistry()).Begin(OpReadAt)()
+	defer NewOpTracker(NewRegistry()).Begin(OpReadAt).End()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		CurrentOpRaw()
+	}
+}
+
+// countingObserver stands in for the flight recorder.
+type countingObserver struct{ begins, ends int }
+
+func (o *countingObserver) OpBegin(OpRef) { o.begins++ }
+func (o *countingObserver) OpEnd(OpRef)   { o.ends++ }
+
+// An op scope is a value: entering and leaving one allocates nothing,
+// with a registry, with an observer, and disabled.
+func TestAllocsBeginEnd(t *testing.T) {
+	observed := NewOpTracker(NewRegistry())
+	o := &countingObserver{}
+	observed.Observe(o)
+	for name, trk := range map[string]*OpTracker{
+		"registry": NewOpTracker(NewRegistry()),
+		"observed": observed,
+		"disabled": NewOpTracker(nil),
+	} {
+		scope := func() { defer trk.Begin(OpReadAt).End() }
+		scope() // let the shared op stack reach its capacity
+		if got := testing.AllocsPerRun(100, scope); got != 0 {
+			t.Errorf("%s: Begin(..).End() = %.1f allocs/op, want 0", name, got)
+		}
+	}
+	if o.begins == 0 || o.begins != o.ends {
+		t.Errorf("observer saw %d begins, %d ends", o.begins, o.ends)
+	}
+	if got := CurrentOp(); got != (OpRef{}) {
+		t.Errorf("ambient op after all scopes ended: %+v", got)
 	}
 }

@@ -84,31 +84,33 @@ func packRef(r OpRef) uint64 { return uint64(r.Kind)<<56 | r.ID }
 
 func unpackRef(v uint64) OpRef { return OpRef{Kind: Op(v >> 56), ID: v & idMask} }
 
-// beginOp pushes a new op context and returns its ref plus a closure
-// ending it (ops nest: a vfs helper that calls another public method
-// keeps inner attribution, and the outer op resurfaces when the inner
-// one ends).
-func beginOp(kind Op) (OpRef, func()) {
+// beginOp pushes a new op context and returns its ref (ops nest: a vfs
+// helper that calls another public method keeps inner attribution, and
+// the outer op resurfaces when the inner one ends).
+func beginOp(kind Op) OpRef {
 	ref := OpRef{Kind: kind, ID: opSeq.Add(1) & idMask}
 	ops.mu.Lock()
 	ops.stack = append(ops.stack, ref)
 	ops.top.Store(packRef(ref))
 	ops.mu.Unlock()
-	return ref, func() {
-		ops.mu.Lock()
-		for i := len(ops.stack) - 1; i >= 0; i-- {
-			if ops.stack[i] == ref {
-				ops.stack = append(ops.stack[:i], ops.stack[i+1:]...)
-				break
-			}
+	return ref
+}
+
+// endOp unwinds ref from the op stack by identity, wherever it sits.
+func endOp(ref OpRef) {
+	ops.mu.Lock()
+	for i := len(ops.stack) - 1; i >= 0; i-- {
+		if ops.stack[i] == ref {
+			ops.stack = append(ops.stack[:i], ops.stack[i+1:]...)
+			break
 		}
-		if n := len(ops.stack); n > 0 {
-			ops.top.Store(packRef(ops.stack[n-1]))
-		} else {
-			ops.top.Store(0)
-		}
-		ops.mu.Unlock()
 	}
+	if n := len(ops.stack); n > 0 {
+		ops.top.Store(packRef(ops.stack[n-1]))
+	} else {
+		ops.top.Store(0)
+	}
+	ops.mu.Unlock()
 }
 
 // CurrentOp returns the ambient op context (zero when no operation is
@@ -125,14 +127,11 @@ func CurrentOpRaw() (kind uint8, id uint64) {
 	return uint8(ref.Kind), ref.ID
 }
 
-// noEnd is the shared no-op scope closer of a disabled tracker.
-func noEnd() {}
-
 // OpObserver receives operation-lifecycle events from an OpTracker.
 // OpBegin fires after the op context is installed; OpEnd fires after it
 // is unwound, on the same goroutine, with no file-system locks held
-// (the tracker's scope closer is the outermost defer at every vfs entry
-// point). The flight recorder is the intended implementation.
+// (the scope's End is the outermost defer at every vfs entry point).
+// The flight recorder is the intended implementation.
 type OpObserver interface {
 	OpBegin(ref OpRef)
 	OpEnd(ref OpRef)
@@ -174,20 +173,36 @@ func (t *OpTracker) Observe(o OpObserver) {
 	}
 }
 
-// Begin enters an operation scope; the returned closure ends it.
-// Usage at a vfs entry point: defer t.Begin(obs.OpCreate)().
-func (t *OpTracker) Begin(kind Op) func() {
+// OpScope is one entered operation, returned by value so that scoping
+// an operation costs no heap allocation. The zero OpScope (a disabled
+// tracker's) ends nothing.
+type OpScope struct {
+	t   *OpTracker
+	ref OpRef
+}
+
+// Begin enters an operation scope; End on the returned scope leaves it.
+// Usage at a vfs entry point: defer t.Begin(obs.OpCreate).End().
+func (t *OpTracker) Begin(kind Op) OpScope {
 	if !t.Enabled() {
-		return noEnd
+		return OpScope{}
 	}
 	t.ops[kind].Inc()
-	ref, end := beginOp(kind)
-	if t.obs == nil {
-		return end
+	ref := beginOp(kind)
+	if t.obs != nil {
+		t.obs.OpBegin(ref)
 	}
-	t.obs.OpBegin(ref)
-	return func() {
-		end()
-		t.obs.OpEnd(ref)
+	return OpScope{t: t, ref: ref}
+}
+
+// End leaves the scope: the op is unwound from the ambient stack, then
+// the observer (if any) is told.
+func (s OpScope) End() {
+	if s.t == nil {
+		return
+	}
+	endOp(s.ref)
+	if s.t.obs != nil {
+		s.t.obs.OpEnd(s.ref)
 	}
 }

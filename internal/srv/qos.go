@@ -253,35 +253,41 @@ func (d *dispatcher) close() {
 
 // tenantStack is the ambient who-is-running record, the same
 // best-effort shape as the obs op stack: workers push the tenant before
-// calling into the fs, and the trace hook (which runs synchronously on
-// the issuing goroutine) reads the top to label drops. Under concurrent
-// workers attribution is approximate — a request may be blamed on a
-// sibling tenant mid-overlap — but the value is always *some* currently
-// active tenant, never garbage.
+// calling into the fs and pop it after, and the trace hook (which runs
+// synchronously on the issuing goroutine) reads the top to label drops.
+// Under concurrent workers attribution is approximate — a request may
+// be blamed on a sibling tenant mid-overlap — but the value is always
+// *some* currently active tenant, never garbage.
+//
+// The stack holds pointers to the tenants' own name fields, which never
+// change while the server lives, so readers can hold the top pointer
+// lock-free and a served request allocates nothing here.
 type tenantStack struct {
 	mu    sync.Mutex
-	stack []string
+	stack []*string
 	top   atomic.Pointer[string]
 }
 
-func (s *tenantStack) push(name string) func() {
+// push makes *name the running tenant until the matching pop.
+func (s *tenantStack) push(name *string) {
 	s.mu.Lock()
 	s.stack = append(s.stack, name)
-	s.top.Store(&name)
+	s.top.Store(name)
 	s.mu.Unlock()
-	return func() {
-		s.mu.Lock()
-		if n := len(s.stack); n > 0 {
-			s.stack = s.stack[:n-1]
-			if n > 1 {
-				top := s.stack[n-2] // private copy: readers hold the pointer lock-free
-				s.top.Store(&top)
-			} else {
-				s.top.Store(nil)
-			}
+}
+
+// pop removes the newest entry, resurfacing the one below it.
+func (s *tenantStack) pop() {
+	s.mu.Lock()
+	if n := len(s.stack); n > 0 {
+		s.stack = s.stack[:n-1]
+		if n > 1 {
+			s.top.Store(s.stack[n-2])
+		} else {
+			s.top.Store(nil)
 		}
-		s.mu.Unlock()
 	}
+	s.mu.Unlock()
 }
 
 func (s *tenantStack) current() string {

@@ -137,19 +137,20 @@ func TestTenantStack(t *testing.T) {
 	if got := s.current(); got != "" {
 		t.Fatalf("empty stack current = %q", got)
 	}
-	popA := s.push("a")
+	a, b := "a", "b"
+	s.push(&a)
 	if got := s.current(); got != "a" {
 		t.Fatalf("current = %q, want a", got)
 	}
-	popB := s.push("b")
+	s.push(&b)
 	if got := s.current(); got != "b" {
 		t.Fatalf("current = %q, want b", got)
 	}
-	popB()
+	s.pop()
 	if got := s.current(); got != "a" {
 		t.Fatalf("after pop current = %q, want a", got)
 	}
-	popA()
+	s.pop()
 	if got := s.current(); got != "" {
 		t.Fatalf("after final pop current = %q, want empty", got)
 	}

@@ -383,15 +383,16 @@ func (c *conn) route(f *Fcall) bool {
 			c.sendErr(f.Tag, fmt.Errorf("tag %d already in flight: %w", f.Tag, ErrProto))
 			return true
 		}
+		var resp *Fcall
 		switch f.Type {
 		case Tversion:
-			c.version(f)
+			resp = c.version(f)
 		case Tattach:
-			c.attach(f)
+			resp = c.attach(f)
 		case Tclunk:
-			c.clunk(f)
+			resp = c.clunk(f)
 		}
-		c.releaseTag(f.Tag)
+		c.reply(f.Tag, resp)
 		return true
 	case Twalk, Topen, Tcreate, Tmkdir, Tread, Twrite, Tstat, Treaddir, Tunlink, Trename, Tfsync:
 		return c.admit(f)
@@ -406,7 +407,7 @@ func (c *conn) route(f *Fcall) bool {
 // version negotiates the protocol revision and this connection's frame
 // limit. The negotiated msize only takes effect on success — a client
 // answered "unknown" is expected to hang up, not renegotiate framing.
-func (c *conn) version(f *Fcall) {
+func (c *conn) version(f *Fcall) *Fcall {
 	msize := f.Msize
 	if msize == 0 || msize > c.s.msize {
 		msize = c.s.msize
@@ -415,31 +416,28 @@ func (c *conn) version(f *Fcall) {
 		msize = MinMsize
 	}
 	if f.Version != Version {
-		c.send(&Fcall{Type: Rversion, Tag: f.Tag, Msize: msize, Version: "unknown"})
-		return
+		return &Fcall{Type: Rversion, Msize: msize, Version: "unknown"}
 	}
 	c.msize.Store(msize)
-	c.send(&Fcall{Type: Rversion, Tag: f.Tag, Msize: msize, Version: Version})
+	return &Fcall{Type: Rversion, Msize: msize, Version: Version}
 }
 
-func (c *conn) attach(f *Fcall) {
+func (c *conn) attach(f *Fcall) *Fcall {
 	c.s.mu.Lock()
 	t := c.s.tenants[f.Tenant]
 	c.s.mu.Unlock()
 	if t == nil {
-		c.sendErr(f.Tag, fmt.Errorf("unknown tenant %q: %w", f.Tenant, ErrPerm))
-		return
+		return rerror(fmt.Errorf("unknown tenant %q: %w", f.Tenant, ErrPerm))
 	}
 	if !c.installFid(f.Fid, &fid{t: t, ino: t.root, isRoot: true}) {
-		c.sendErr(f.Tag, fmt.Errorf("fid %d in use: %w", f.Fid, ErrProto))
-		return
+		return rerror(fmt.Errorf("fid %d in use: %w", f.Fid, ErrProto))
 	}
 	t.m.reqs[Tattach].Inc()
 	t.m.sessions.Add(1)
-	c.send(&Fcall{Type: Rattach, Tag: f.Tag, Ino: uint64(t.root)})
+	return &Fcall{Type: Rattach, Ino: uint64(t.root)}
 }
 
-func (c *conn) clunk(f *Fcall) {
+func (c *conn) clunk(f *Fcall) *Fcall {
 	c.mu.Lock()
 	fd, ok := c.fids[f.Fid]
 	if ok {
@@ -447,15 +445,14 @@ func (c *conn) clunk(f *Fcall) {
 	}
 	c.mu.Unlock()
 	if !ok {
-		c.sendErr(f.Tag, fmt.Errorf("clunk of unknown fid %d: %w", f.Fid, ErrProto))
-		return
+		return rerror(fmt.Errorf("clunk of unknown fid %d: %w", f.Fid, ErrProto))
 	}
 	c.s.nfids.Add(-1)
 	fd.t.m.fids.Add(-1)
 	if fd.isRoot {
 		fd.t.m.sessions.Add(-1)
 	}
-	c.send(&Fcall{Type: Rclunk, Tag: f.Tag})
+	return &Fcall{Type: Rclunk}
 }
 
 // admit runs the QoS front half on the reader goroutine: resolve the
@@ -487,9 +484,7 @@ func (c *conn) admit(f *Fcall) bool {
 	t.m.reqs[f.Type].Inc()
 	if !c.s.disp.enqueue(request{c: c, t: t, f: f, start: time.Now()}) {
 		t.m.qosRejects.Inc()
-		c.sendErr(f.Tag, fmt.Errorf("tenant %q queue full: %w", t.name, ErrLimit))
-		c.releaseTag(f.Tag)
-		return true
+		c.reply(f.Tag, rerror(fmt.Errorf("tenant %q queue full: %w", t.name, ErrLimit)))
 	}
 	return true
 }
@@ -506,27 +501,17 @@ func (c *conn) reserveTag(tag uint16) bool {
 	return true
 }
 
-func (c *conn) releaseTag(tag uint16) {
-	c.mu.Lock()
-	delete(c.tags, tag)
-	c.mu.Unlock()
-}
-
-// serveRequest is the worker side: execute against the fs, respond,
-// release the tag.
+// serveRequest is the worker side: execute against the fs and reply,
+// which retires the tag.
 func (s *Server) serveRequest(r request) {
-	pop := s.tctx.push(r.t.name)
+	s.tctx.push(&r.t.name)
 	resp := s.handle(r.c, r.t, r.f)
-	pop()
+	s.tctx.pop()
 	r.t.m.latency[latencyGroup(r.f.Type)].Record(time.Since(r.start).Nanoseconds())
 	if resp.Type == Rerror {
 		r.t.m.errs.Inc()
 	}
-	resp.Tag = r.f.Tag
-	// The tag stays in flight until its response is on the wire, so a
-	// client reusing a tag it has not seen answered is always caught.
-	r.c.send(resp)
-	r.c.releaseTag(r.f.Tag)
+	r.c.reply(r.f.Tag, resp)
 }
 
 func rerror(err error) *Fcall {
@@ -858,10 +843,25 @@ func (s *Server) rename(c *conn, t *tenant, f *Fcall) *Fcall {
 	return &Fcall{Type: Rrename}
 }
 
-// send writes one response frame; write failures tear the connection
-// down (the reader will notice too, harmlessly).
-func (c *conn) send(f *Fcall) {
+// write puts one response frame on the wire; write failures tear the
+// connection down (the reader will notice too, harmlessly). With
+// retire set the frame answers the request that reserved its tag, and
+// the tag leaves the in-flight table here — inside the write
+// serialisation, before the first reply byte can be observed. A client
+// may reuse a tag the instant it has read the reply, so by then the tag
+// must be free; releasing it once the write has returned would refuse
+// such a client whenever the worker lost the CPU in between. A
+// duplicate that arrives while the request is still queued or executing
+// is always refused: the tag is held until its response exists. And
+// because it is dropped under wmu, answers to one tag leave in request
+// order.
+func (c *conn) write(f *Fcall, retire bool) {
 	c.wmu.Lock()
+	if retire {
+		c.mu.Lock()
+		delete(c.tags, f.Tag)
+		c.mu.Unlock()
+	}
 	err := WriteFcall(c.nc, f, 0)
 	c.wmu.Unlock()
 	if err != nil {
@@ -869,8 +869,17 @@ func (c *conn) send(f *Fcall) {
 	}
 }
 
+// reply answers the request that reserved tag and retires the tag.
+func (c *conn) reply(tag uint16, f *Fcall) {
+	f.Tag = tag
+	c.write(f, true)
+}
+
+// sendErr answers a frame that never reserved its tag — a refused
+// duplicate, an unknown type or fid — so the tag table is left alone:
+// the tag may belong to a request still in flight.
 func (c *conn) sendErr(tag uint16, err error) {
 	e := rerror(err)
 	e.Tag = tag
-	c.send(e)
+	c.write(e, false)
 }

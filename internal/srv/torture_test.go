@@ -150,12 +150,28 @@ func TestTortureMessages(t *testing.T) {
 			t.Fatalf("clunk of unknown fid: %v / %v", r.Type, r.Err())
 		}
 	})
+	// expectRefusedThenServed asserts the answers to a pipelined pair
+	// on one tag: the reader refuses the second frame (ErrProto) while
+	// the first is still parked behind the busy worker, and the first is
+	// served once the worker is free again.
+	expectRefusedThenServed := func(t *testing.T, tag uint16, unpark func()) {
+		t.Helper()
+		if r := readRaw(t, nc); r.Type != srv.Rerror || r.Tag != tag || !errors.Is(r.Err(), srv.ErrProto) {
+			t.Fatalf("duplicate of parked tag %d: reply %v tag %d err %v, want Rerror/ErrProto", tag, r.Type, r.Tag, r.Err())
+		}
+		unpark()
+		if r := readRaw(t, nc); r.Type != srv.Rstat || r.Tag != tag {
+			t.Fatalf("parked request on tag %d: reply %v tag %d err %v, want Rstat", tag, r.Type, r.Tag, r.Err())
+		}
+	}
+
 	t.Run("duplicate-tags", func(t *testing.T) {
 		// Attach fid 1, then pipeline two Tstat requests with the SAME
-		// tag before reading either response. With one worker the
-		// first is parked in the dispatcher while the reader sees the
-		// second — which must be refused (ErrProto) without executing,
-		// and the first must still answer. Exactly one of each.
+		// tag before reading either response. The one worker is held
+		// busy, so the first is parked in the dispatcher when the reader
+		// sees the second — which must be refused (ErrProto) without
+		// executing, and the first must still answer. Exactly one of
+		// each.
 		abody := make([]byte, 4+2+5)
 		binary.LittleEndian.PutUint32(abody, 1)
 		binary.LittleEndian.PutUint16(abody[4:6], 5)
@@ -166,23 +182,11 @@ func TestTortureMessages(t *testing.T) {
 		}
 		sbody := make([]byte, 4)
 		binary.LittleEndian.PutUint32(sbody, 1)
+		unpark := parkWorker(t, lb)
 		two := append(frame(byte(srv.Tstat), 42, sbody), frame(byte(srv.Tstat), 42, sbody)...)
 		nc.Write(two)
-		var stats, protoErrs int
-		for i := 0; i < 2; i++ {
-			switch r := readRaw(t, nc); {
-			case r.Type == srv.Rstat && r.Tag == 42:
-				stats++
-			case r.Type == srv.Rerror && r.Tag == 42 && errors.Is(r.Err(), srv.ErrProto):
-				protoErrs++
-			default:
-				t.Fatalf("unexpected reply %v tag %d", r.Type, r.Tag)
-			}
-		}
-		if stats != 1 || protoErrs != 1 {
-			t.Fatalf("duplicate tag: %d Rstat + %d proto errors, want 1 + 1", stats, protoErrs)
-		}
-		// The tag is free again afterwards.
+		expectRefusedThenServed(t, 42, unpark)
+		// The tag is free again the instant its reply has been read.
 		nc.Write(frame(byte(srv.Tstat), 42, sbody))
 		if r := readRaw(t, nc); r.Type != srv.Rstat {
 			t.Fatalf("tag reuse after completion: %v / %v", r.Type, r.Err())
@@ -197,22 +201,10 @@ func TestTortureMessages(t *testing.T) {
 		binary.LittleEndian.PutUint32(abody, 77) // would-be attach fid
 		binary.LittleEndian.PutUint16(abody[4:6], 5)
 		copy(abody[6:], "alpha")
+		unpark := parkWorker(t, lb)
 		two := append(frame(byte(srv.Tstat), 50, u32body(1)), frame(byte(srv.Tattach), 50, abody)...)
 		nc.Write(two)
-		var stats, protoErrs int
-		for i := 0; i < 2; i++ {
-			switch r := readRaw(t, nc); {
-			case r.Type == srv.Rstat && r.Tag == 50:
-				stats++
-			case r.Type == srv.Rerror && r.Tag == 50 && errors.Is(r.Err(), srv.ErrProto):
-				protoErrs++
-			default:
-				t.Fatalf("unexpected reply %v tag %d", r.Type, r.Tag)
-			}
-		}
-		if stats != 1 || protoErrs != 1 {
-			t.Fatalf("duplicate-tag attach: %d Rstat + %d proto errors, want 1 + 1", stats, protoErrs)
-		}
+		expectRefusedThenServed(t, 50, unpark)
 		// The refused attach never executed: fid 77 does not exist.
 		nc.Write(frame(byte(srv.Tstat), 51, u32body(77)))
 		if r := readRaw(t, nc); r.Type != srv.Rerror || !errors.Is(r.Err(), srv.ErrProto) {
@@ -222,22 +214,10 @@ func TestTortureMessages(t *testing.T) {
 	t.Run("duplicate-tag-clunk", func(t *testing.T) {
 		// Same shape for Tclunk: refused on a busy tag, and the fid it
 		// named must survive.
+		unpark := parkWorker(t, lb)
 		two := append(frame(byte(srv.Tstat), 60, u32body(1)), frame(byte(srv.Tclunk), 60, u32body(1))...)
 		nc.Write(two)
-		var stats, protoErrs int
-		for i := 0; i < 2; i++ {
-			switch r := readRaw(t, nc); {
-			case r.Type == srv.Rstat && r.Tag == 60:
-				stats++
-			case r.Type == srv.Rerror && r.Tag == 60 && errors.Is(r.Err(), srv.ErrProto):
-				protoErrs++
-			default:
-				t.Fatalf("unexpected reply %v tag %d", r.Type, r.Tag)
-			}
-		}
-		if stats != 1 || protoErrs != 1 {
-			t.Fatalf("duplicate-tag clunk: %d Rstat + %d proto errors, want 1 + 1", stats, protoErrs)
-		}
+		expectRefusedThenServed(t, 60, unpark)
 		nc.Write(frame(byte(srv.Tstat), 61, u32body(1)))
 		if r := readRaw(t, nc); r.Type != srv.Rstat {
 			t.Fatalf("fid clunked by refused request: %v / %v", r.Type, r.Err())
@@ -252,6 +232,69 @@ func u32body(v uint32) []byte {
 	b := make([]byte, 4)
 	binary.LittleEndian.PutUint32(b, v)
 	return b
+}
+
+// attachRaw attaches fid 1 to tenant on a hand-rolled connection.
+func attachRaw(t *testing.T, nc net.Conn, tenant string) {
+	t.Helper()
+	body := make([]byte, 4+2+len(tenant))
+	binary.LittleEndian.PutUint32(body, 1)
+	binary.LittleEndian.PutUint16(body[4:6], uint16(len(tenant)))
+	copy(body[6:], tenant)
+	nc.Write(frame(byte(srv.Tattach), 1, body))
+	if r := readRaw(t, nc); r.Type != srv.Rattach {
+		t.Fatalf("attach %q: %v / %v", tenant, r.Type, r.Err())
+	}
+}
+
+// parkWorker holds one dispatcher worker busy until the returned
+// function is called: a second connection asks for a stat and reads
+// only the first byte of the answer, and since the loopback is a
+// net.Pipe (a write returns once every byte has been read) the worker
+// stays inside that reply's write. On a one-worker server everything
+// admitted meanwhile is provably parked in the dispatcher. Unparking
+// drains the reply and closes the connection.
+func parkWorker(t *testing.T, lb *srv.Loopback) (unpark func()) {
+	t.Helper()
+	nc := rawDial(t, lb)
+	attachRaw(t, nc, "alpha")
+	nc.Write(frame(byte(srv.Tstat), 2, u32body(1)))
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var size [4]byte
+	if _, err := io.ReadFull(nc, size[:1]); err != nil {
+		t.Fatalf("park: first reply byte: %v", err)
+	}
+	return func() {
+		t.Helper()
+		if _, err := io.ReadFull(nc, size[1:]); err != nil {
+			t.Fatalf("unpark: %v", err)
+		}
+		rest := make([]byte, binary.LittleEndian.Uint32(size[:])-4)
+		if _, err := io.ReadFull(nc, rest); err != nil {
+			t.Fatalf("unpark: %v", err)
+		}
+		nc.Close()
+	}
+}
+
+// TestTagReuseAfterReply is the regression for the tag-release race: a
+// conforming client may reuse a tag the instant it has read that tag's
+// reply. The server used to release the tag only after the reply's
+// write had returned, so whenever the worker lost the CPU between the
+// two, the reused tag earned a spurious "already in flight" ErrProto.
+func TestTagReuseAfterReply(t *testing.T) {
+	s, lb := testServer(t, srv.Config{}, "alpha")
+	nc := rawDial(t, lb)
+	attachRaw(t, nc, "alpha")
+	stat := frame(byte(srv.Tstat), 42, u32body(1))
+	for i := 0; i < 10000; i++ {
+		nc.Write(stat)
+		if r := readRaw(t, nc); r.Type != srv.Rstat || r.Tag != 42 {
+			t.Fatalf("round trip %d on a reused tag: %v tag %d err %v", i, r.Type, r.Tag, r.Err())
+		}
+	}
+	nc.Close()
+	waitZeroFids(t, s)
 }
 
 // negotiate runs the version exchange on a raw connection, asserting

@@ -12,17 +12,32 @@ import (
 // the directory-handle level, like the real syscall layer.
 
 // SplitPath normalizes a slash-separated path into components. The empty
-// path and "/" return no components.
+// path and "/" return no components. One pass counts the components so
+// the result is allocated once, at its final size; the components
+// themselves are substrings of path.
 func SplitPath(path string) []string {
-	var comps []string
-	for _, c := range strings.Split(path, "/") {
-		switch c {
-		case "", ".":
-		default:
-			comps = append(comps, c)
-		}
+	n := 0
+	eachComp(path, func(string) { n++ })
+	if n == 0 {
+		return nil
 	}
+	comps := make([]string, 0, n)
+	eachComp(path, func(c string) { comps = append(comps, c) })
 	return comps
+}
+
+// eachComp calls fn for every component of path that is not empty or ".".
+func eachComp(path string, fn func(c string)) {
+	start := 0
+	for i := 0; i <= len(path); i++ {
+		if i < len(path) && path[i] != '/' {
+			continue
+		}
+		if c := path[start:i]; c != "" && c != "." {
+			fn(c)
+		}
+		start = i + 1
+	}
 }
 
 // PathWalker is an optional FileSystem capability: resolve a whole

@@ -20,6 +20,13 @@ func TestSplitPath(t *testing.T) {
 		"//a///b/": {"a", "b"},
 		"/a/./b":   {"a", "b"},
 		"./a":      {"a"},
+		".":        nil,
+		"/.":       nil,
+		"/./":      nil,
+		"a":        {"a"},
+		"/a/..":    {"a", ".."},
+		"/.a/b.":   {".a", "b."},
+		"/a/b/.":   {"a", "b"},
 	}
 	for in, want := range cases {
 		if got := SplitPath(in); !reflect.DeepEqual(got, want) {
