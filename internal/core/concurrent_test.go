@@ -178,8 +178,8 @@ func TestConcurrentReaders(t *testing.T) {
 }
 
 // TestConcurrentRenameAcrossDirs races renames between two directories
-// in both directions, which exercises the ordered two-stripe directory
-// locking in lockDirPair.
+// in both directions: each Rename is a writer under fs.mu, so opposing
+// moves must serialize with no deadlock and no lost file.
 func TestConcurrentRenameAcrossDirs(t *testing.T) {
 	fs := newCFFS(t, Options{EmbedInodes: true, Grouping: true, Mode: ModeDelayed})
 	da, err := fs.Mkdir(fs.Root(), "a")

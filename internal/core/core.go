@@ -314,10 +314,6 @@ type FS struct {
 	// pathcache.go for its place in the lock hierarchy.
 	pc *pathCache
 
-	// dirLocks is a striped per-directory lock tier between mu and the
-	// cache's internal locks; see lock.go.
-	dirLocks [nDirStripes]sync.Mutex
-
 	// Adaptive group-read recency window (see
 	// Options.AdaptiveGroupRead), guarded by adaptMu because it is
 	// mutated on the read path, under mu held shared.

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"cffs/internal/obs"
 	"cffs/internal/vfs"
 )
@@ -21,10 +19,6 @@ import (
 //	                       DebugLoc — everything that mutates no FS
 //	                       state and no block contents. All other
 //	                       operations are writers.
-//	directory lock         striped mutexes (fs.dirLocks), taken by
-//	                       namespace operations for the parent
-//	                       directory, in stripe order when a Rename
-//	                       spans two directories.
 //	adaptMu                the adaptive group-read window, the one FS
 //	                       field mutated on the (shared) read path.
 //	idxMu                  the per-mount index-trust set (idxFresh),
@@ -55,51 +49,9 @@ import (
 // exclusive writer lock is what licenses those unguarded Data accesses.
 // Read operations run concurrently with each other: cache hits
 // parallelize fully, and misses serialize only at the (single-armed)
-// simulated disk, which matches the hardware the model simulates. The
-// directory stripe tier is redundant for mutual exclusion today — the FS
-// writer lock already serializes writers — but it fixes the lock order
-// namespace sharding will need, and it is exercised (and checked for
-// ordering) under the race detector now.
-
-// nDirStripes is the size of the striped directory lock table.
-const nDirStripes = 64
-
-// dirLock is the held stripe lock(s) of one or two directories,
-// returned by value so a namespace operation's defer allocates nothing.
-// hi is nil when a single stripe covers the operation.
-type dirLock struct{ lo, hi *sync.Mutex }
-
-// Unlock releases the stripes in reverse acquisition order.
-func (l dirLock) Unlock() {
-	if l.hi != nil {
-		l.hi.Unlock()
-	}
-	l.lo.Unlock()
-}
-
-// lockDir locks the stripe of one directory.
-func (fs *FS) lockDir(dir vfs.Ino) dirLock {
-	m := &fs.dirLocks[mix64(uint64(dir))%nDirStripes]
-	m.Lock()
-	return dirLock{lo: m}
-}
-
-// lockDirPair locks the stripes of two directories in stripe order,
-// deduplicating.
-func (fs *FS) lockDirPair(a, b vfs.Ino) dirLock {
-	sa := mix64(uint64(a)) % nDirStripes
-	sb := mix64(uint64(b)) % nDirStripes
-	if sa == sb {
-		return fs.lockDir(a)
-	}
-	if sb < sa {
-		sa, sb = sb, sa
-	}
-	l := dirLock{lo: &fs.dirLocks[sa], hi: &fs.dirLocks[sb]}
-	l.lo.Lock()
-	l.hi.Lock()
-	return l
-}
+// simulated disk, which matches the hardware the model simulates. There
+// is no per-directory tier: namespace operations are writers, so fs.mu
+// already excludes them from each other and from every reader.
 
 // Lookup implements vfs.FileSystem.
 func (fs *FS) Lookup(dir vfs.Ino, name string) (vfs.Ino, error) {
@@ -115,7 +67,6 @@ func (fs *FS) Create(dir vfs.Ino, name string) (vfs.Ino, error) {
 	fs.wb.Admit()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	defer fs.lockDir(dir).Unlock()
 	if err := fs.markUnclean(); err != nil {
 		return 0, err
 	}
@@ -128,7 +79,6 @@ func (fs *FS) Mkdir(dir vfs.Ino, name string) (vfs.Ino, error) {
 	fs.wb.Admit()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	defer fs.lockDir(dir).Unlock()
 	if err := fs.markUnclean(); err != nil {
 		return 0, err
 	}
@@ -141,7 +91,6 @@ func (fs *FS) Link(dir vfs.Ino, name string, target vfs.Ino) error {
 	fs.wb.Admit()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	defer fs.lockDir(dir).Unlock()
 	if err := fs.markUnclean(); err != nil {
 		return err
 	}
@@ -156,7 +105,6 @@ func (fs *FS) Unlink(dir vfs.Ino, name string) error {
 	fs.wb.Admit()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	defer fs.lockDir(dir).Unlock()
 	if err := fs.markUnclean(); err != nil {
 		return err
 	}
@@ -171,7 +119,6 @@ func (fs *FS) Rmdir(dir vfs.Ino, name string) error {
 	fs.wb.Admit()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	defer fs.lockDir(dir).Unlock()
 	if err := fs.markUnclean(); err != nil {
 		return err
 	}
@@ -188,7 +135,6 @@ func (fs *FS) Rename(sdir vfs.Ino, sname string, ddir vfs.Ino, dname string) err
 	fs.wb.Admit()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	defer fs.lockDirPair(sdir, ddir).Unlock()
 	if err := fs.markUnclean(); err != nil {
 		return err
 	}

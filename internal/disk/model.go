@@ -37,11 +37,8 @@ type Disk struct {
 	cacheOn bool
 	segs    []segment // on-board read-ahead segments, MRU first
 
-	stats       Stats
-	trace       *[]TraceEntry
-	traceFunc   func(TraceEntry)
-	opSource    func() (kind uint8, id uint64)
-	metricsFunc func(TraceEntry)
+	stats Stats
+	Observers
 }
 
 // segment is one on-board cache segment holding LBAs [start, end).
@@ -65,6 +62,7 @@ func New(spec Spec, clock *sim.Clock, store Store) (*Disk, error) {
 		revNs:   spec.RevTime() * 1e9,
 		cacheOn: spec.CacheSegments > 0,
 	}
+	d.Observers.Bind(&d.mu)
 	for zi, z := range spec.Geom.Zones {
 		secNs := d.revNs / float64(z.SPT)
 		d.secNs = append(d.secNs, secNs)
@@ -164,21 +162,7 @@ func (d *Disk) access(lba int64, nsect int, write bool) int64 {
 	}
 	d.stats.Requests++
 	d.stats.BusyNanos += svcNs
-	if d.trace != nil || d.traceFunc != nil || d.metricsFunc != nil {
-		e := TraceEntry{LBA: lba, Count: nsect, Write: write, Nanos: svcNs}
-		if d.opSource != nil {
-			e.OpKind, e.OpID = d.opSource()
-		}
-		if d.trace != nil {
-			*d.trace = append(*d.trace, e)
-		}
-		if d.traceFunc != nil {
-			d.traceFunc(e)
-		}
-		if d.metricsFunc != nil {
-			d.metricsFunc(e)
-		}
-	}
+	d.Observe(lba, nsect, write, svcNs)
 	d.clock.Advance(svcNs)
 	return svcNs
 }
@@ -432,41 +416,78 @@ type TraceEntry struct {
 	OpID   uint64
 }
 
+// Observers is the per-request observer set of a simulated device: a
+// trace buffer, a trace sink, a metrics sink, and the operation source
+// that stamps entries. A device embeds it, binds it to its own request
+// lock, and calls Observe once per serviced request with that lock held;
+// the setters take the same lock, so hooks change only between requests.
+type Observers struct {
+	mu          *sync.Mutex // the owning device's request lock
+	trace       *[]TraceEntry
+	traceFunc   func(TraceEntry)
+	opSource    func() (kind uint8, id uint64)
+	metricsFunc func(TraceEntry)
+}
+
+// Bind names the owning device's request lock. Call once, at construction.
+func (o *Observers) Bind(mu *sync.Mutex) { o.mu = mu }
+
+// Observe stamps one serviced request with the current operation and
+// hands it to every installed observer. The owner's lock must be held.
+func (o *Observers) Observe(lba int64, nsect int, write bool, ns int64) {
+	if o.trace == nil && o.traceFunc == nil && o.metricsFunc == nil {
+		return
+	}
+	e := TraceEntry{LBA: lba, Count: nsect, Write: write, Nanos: ns}
+	if o.opSource != nil {
+		e.OpKind, e.OpID = o.opSource()
+	}
+	if o.trace != nil {
+		*o.trace = append(*o.trace, e)
+	}
+	if o.traceFunc != nil {
+		o.traceFunc(e)
+	}
+	if o.metricsFunc != nil {
+		o.metricsFunc(e)
+	}
+}
+
 // SetTrace enables (or disables, with nil) request tracing into buf. The
-// buffer is appended to under the disk's request lock, but the caller
+// buffer is appended to under the device's request lock, but the caller
 // must not read it while requests may still be in flight; for concurrent
 // capture use SetTraceFunc with a trace.Collector instead.
-func (d *Disk) SetTrace(buf *[]TraceEntry) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.trace = buf
+func (o *Observers) SetTrace(buf *[]TraceEntry) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.trace = buf
 }
 
 // SetTraceFunc installs (or removes, with nil) a per-request trace sink,
-// invoked under the disk's request lock in service order. Sinks must be
-// fast and must not call back into the disk.
-func (d *Disk) SetTraceFunc(fn func(TraceEntry)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.traceFunc = fn
+// invoked under the device's request lock in service order. Sinks must be
+// fast and must not call back into the device.
+func (o *Observers) SetTraceFunc(fn func(TraceEntry)) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.traceFunc = fn
 }
 
 // SetOpSource installs (or removes, with nil) the operation-context
 // source used to stamp OpKind/OpID onto trace entries. It is queried
-// under the disk's request lock, on the goroutine that issued the
+// under the device's request lock, on the goroutine that issued the
 // request, once per request — obs.CurrentOpRaw is the intended source.
-func (d *Disk) SetOpSource(fn func() (kind uint8, id uint64)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.opSource = fn
+func (o *Observers) SetOpSource(fn func() (kind uint8, id uint64)) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.opSource = fn
 }
 
 // SetMetricsFunc installs (or removes, with nil) a metrics sink invoked
-// with each stamped entry under the disk's request lock. It is
+// with each stamped entry under the device's request lock. It is
 // independent of SetTrace/SetTraceFunc so metrics collection never
 // competes with trace capture (bench experiments use both at once).
-func (d *Disk) SetMetricsFunc(fn func(TraceEntry)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.metricsFunc = fn
+func (o *Observers) SetMetricsFunc(fn func(TraceEntry)) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.metricsFunc = fn
 }

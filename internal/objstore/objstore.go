@@ -17,15 +17,15 @@
 // survives, amplified). Hadoop Perfect File (PAPERS.md) motivates the
 // same trade on HDFS: packing small files into container objects to
 // amortize fixed per-request cost.
+//
+// The request engine is internal/flatdev, shared with the ssd backend;
+// this package is its millisecond, unbounded-channel parameter set with
+// no write hook — an object PUT costs what a GET costs.
 package objstore
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-
-	"cffs/internal/blockio"
 	"cffs/internal/disk"
+	"cffs/internal/flatdev"
 	"cffs/internal/sim"
 )
 
@@ -55,61 +55,35 @@ func DefaultSpec() Spec {
 	return Spec{Name: "objstore", RTT: 5e-3, Bandwidth: 32e6, Channels: 0}
 }
 
-// Validate checks the spec for usable values.
-func (s Spec) Validate() error {
-	if s.RTT < 0 {
-		return fmt.Errorf("objstore: negative RTT %g", s.RTT)
-	}
-	if s.Bandwidth <= 0 {
-		return fmt.Errorf("objstore: bandwidth %g not positive", s.Bandwidth)
-	}
-	if s.Channels < 0 {
-		return fmt.Errorf("objstore: negative channel count %d", s.Channels)
-	}
-	return nil
+// params is the spec as the flat-cost request engine takes it.
+func (s Spec) params() flatdev.Params {
+	return flatdev.Params{Name: "objstore", Fixed: s.RTT, Bandwidth: s.Bandwidth, Channels: s.Channels}
 }
 
-var (
-	_ blockio.Target         = (*Store)(nil)
-	_ blockio.BatchSubmitter = (*Store)(nil)
-)
+// Validate checks the spec for usable values.
+func (s Spec) Validate() error { return s.params().Validate() }
 
-// fanHint is the parallelism reported upward when the channel pool is
-// unbounded. Layers that scale readahead and write-behind fan-out by
-// device parallelism need a finite hint; 16 requests in flight is
-// already past the point where another channel helps a 64 KB-group
-// workload.
-const fanHint = 16
+// Parallelism reports how many requests a store with this spec services
+// concurrently.
+func (s Spec) Parallelism() int { return s.params().Parallelism() }
 
 // Store is a simulated object store presenting a flat logical sector
-// address space over a byte store, implementing blockio.Target and
-// blockio.BatchSubmitter. It is safe for concurrent use; a single mutex
-// serializes the timing model and statistics, mirroring disk.Disk.
+// address space over a byte store: the flat-cost request engine, which
+// supplies blockio.Target, blockio.BatchSubmitter and the Parallelism
+// probe, under this package's Spec. It is safe for concurrent use.
 type Store struct {
-	spec    Spec
-	clock   *sim.Clock
-	store   disk.Store
-	sectors int64
-
-	mu sync.Mutex // guards stats, trace hooks, and the byte store
-
-	stats       disk.Stats
-	trace       *[]disk.TraceEntry
-	traceFunc   func(disk.TraceEntry)
-	opSource    func() (kind uint8, id uint64)
-	metricsFunc func(disk.TraceEntry)
+	*flatdev.Device
+	spec Spec
 }
 
 // New builds an object store of the given byte capacity (a sector
 // multiple) over an existing byte store.
 func New(spec Spec, clock *sim.Clock, st disk.Store, capacity int64) (*Store, error) {
-	if err := spec.Validate(); err != nil {
+	k, err := flatdev.New(spec.params(), clock, st, capacity, nil)
+	if err != nil {
 		return nil, err
 	}
-	if capacity <= 0 || capacity%disk.SectorSize != 0 {
-		return nil, fmt.Errorf("objstore: capacity %d is not a positive sector multiple", capacity)
-	}
-	return &Store{spec: spec, clock: clock, store: st, sectors: capacity / disk.SectorSize}, nil
+	return &Store{Device: k, spec: spec}, nil
 }
 
 // NewMem builds an object store over a fresh in-memory image.
@@ -119,309 +93,3 @@ func NewMem(spec Spec, clock *sim.Clock, capacity int64) (*Store, error) {
 
 // Spec returns the timing parameters.
 func (o *Store) Spec() Spec { return o.spec }
-
-// Sectors implements blockio.Target.
-func (o *Store) Sectors() int64 { return o.sectors }
-
-// Clock implements blockio.Target.
-func (o *Store) Clock() *sim.Clock { return o.clock }
-
-// Parallelism reports how many requests a store with this spec services
-// concurrently, so readahead and write-behind above can size their
-// fan-out. An unbounded channel pool reports the finite fanHint.
-func (s Spec) Parallelism() int {
-	if s.Channels > 0 {
-		return s.Channels
-	}
-	return fanHint
-}
-
-// Parallelism implements the optional device-parallelism probe.
-func (o *Store) Parallelism() int { return o.spec.Parallelism() }
-
-// Stats implements blockio.Target.
-func (o *Store) Stats() disk.Stats {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.stats
-}
-
-// ResetStats implements blockio.Target.
-func (o *Store) ResetStats() {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.stats = disk.Stats{}
-}
-
-// serviceNs returns one request's service time: fixed RTT plus streaming
-// transfer. There is no positioning term and no distance dependence.
-func (o *Store) serviceNs(nsect int) (svc, transfer int64) {
-	transfer = int64(float64(nsect) * disk.SectorSize / o.spec.Bandwidth * 1e9)
-	return int64(o.spec.RTT*1e9) + transfer, transfer
-}
-
-// account records one serviced request's statistics and trace entry
-// with o.mu held. It does not touch the clock; callers advance it by
-// the request's completion model (serial or batched).
-func (o *Store) account(lba int64, nsect int, write bool, svc, transfer int64) {
-	if write {
-		o.stats.Writes++
-		o.stats.SectorsWrite += int64(nsect)
-	} else {
-		o.stats.Reads++
-		o.stats.SectorsRead += int64(nsect)
-	}
-	o.stats.Requests++
-	o.stats.BusyNanos += svc
-	o.stats.TransferNanos += transfer
-	if o.trace != nil || o.traceFunc != nil || o.metricsFunc != nil {
-		e := disk.TraceEntry{LBA: lba, Count: nsect, Write: write, Nanos: svc}
-		if o.opSource != nil {
-			e.OpKind, e.OpID = o.opSource()
-		}
-		if o.trace != nil {
-			*o.trace = append(*o.trace, e)
-		}
-		if o.traceFunc != nil {
-			o.traceFunc(e)
-		}
-		if o.metricsFunc != nil {
-			o.metricsFunc(e)
-		}
-	}
-}
-
-func (o *Store) check(lba int64, nsect int) error {
-	if nsect <= 0 {
-		return fmt.Errorf("objstore: request of %d sectors", nsect)
-	}
-	if lba < 0 || lba+int64(nsect) > o.sectors {
-		return fmt.Errorf("objstore: request [%d,%d) outside store of %d sectors",
-			lba, lba+int64(nsect), o.sectors)
-	}
-	return nil
-}
-
-func sectorCount(bufs [][]byte) (int, error) {
-	total := 0
-	for _, b := range bufs {
-		if len(b) == 0 || len(b)%disk.SectorSize != 0 {
-			return 0, fmt.Errorf("objstore: transfer of %d bytes is not a positive sector multiple", len(b))
-		}
-		total += len(b) / disk.SectorSize
-	}
-	return total, nil
-}
-
-// ReadV implements blockio.Target: one request, one RTT, scattered into
-// bufs. This is the path a grouped 64 KB read takes — the whole group
-// costs a single fixed latency.
-func (o *Store) ReadV(lba int64, bufs [][]byte) error {
-	return o.rw(lba, bufs, false, false)
-}
-
-// WriteV implements blockio.Target.
-func (o *Store) WriteV(lba int64, bufs [][]byte) error {
-	return o.rw(lba, bufs, true, false)
-}
-
-// WriteOrdered implements blockio.Target: timing is an ordinary write;
-// the barrier is forwarded to the backing byte store when it
-// distinguishes ordered writes (the fault injector does).
-func (o *Store) WriteOrdered(lba int64, buf []byte) error {
-	return o.rw(lba, [][]byte{buf}, true, true)
-}
-
-// rw services one request end to end: timing, statistics, byte movement.
-func (o *Store) rw(lba int64, bufs [][]byte, write, ordered bool) error {
-	nsect, err := sectorCount(bufs)
-	if err != nil {
-		return err
-	}
-	if err := o.check(lba, nsect); err != nil {
-		return err
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	svc, transfer := o.serviceNs(nsect)
-	o.account(lba, nsect, write, svc, transfer)
-	o.clock.Advance(svc)
-	off := lba * disk.SectorSize
-	for _, b := range bufs {
-		if write {
-			if ordered {
-				if os, ok := o.store.(disk.OrderedStore); ok {
-					err = os.WriteAtOrdered(b, off)
-				} else {
-					err = o.store.WriteAt(b, off)
-				}
-			} else {
-				err = o.store.WriteAt(b, off)
-			}
-		} else {
-			err = o.store.ReadAt(b, off)
-		}
-		if err != nil {
-			return err
-		}
-		off += int64(len(b))
-	}
-	return nil
-}
-
-// SubmitBlocks implements blockio.BatchSubmitter. There is no head
-// position and nothing to sweep, so scheduling reduces to two facts
-// about the device: contiguous same-direction runs coalesce into one
-// request (one object GET/PUT, capped at the 64 KB transfer limit so
-// request sizes stay comparable with the disk backend), and the merged
-// requests then service concurrently — batch cost is the makespan over
-// channels, not the sum. Explicit grouping still matters here precisely
-// because it makes a directory's blocks contiguous and therefore
-// mergeable; without it every small file is its own full-latency
-// request.
-func (o *Store) SubmitBlocks(reqs []blockio.Req) (int, error) {
-	if len(reqs) == 0 {
-		return 0, nil
-	}
-	// Address order is meaningless for timing but is what makes merges
-	// visible; a stable scan in block order finds every contiguous run.
-	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ra, rb := &reqs[order[a]], &reqs[order[b]]
-		if ra.Block != rb.Block {
-			return ra.Block < rb.Block
-		}
-		return !ra.Write && rb.Write
-	})
-	type run struct {
-		block int64
-		write bool
-		bufs  [][]byte
-	}
-	var runs []run
-	for i := 0; i < len(order); {
-		first := &reqs[order[i]]
-		m := run{block: first.Block, write: first.Write}
-		m.bufs = append(m.bufs, first.Bufs...)
-		next := first.Block + int64(len(first.Bufs))
-		j := i + 1
-		for j < len(order) {
-			r := &reqs[order[j]]
-			if r.Write != m.write || r.Block != next ||
-				len(m.bufs)+len(r.Bufs) > blockio.MaxTransferBlocks {
-				break
-			}
-			m.bufs = append(m.bufs, r.Bufs...)
-			next += int64(len(r.Bufs))
-			j++
-		}
-		runs = append(runs, m)
-		i = j
-	}
-
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	svcs := make([]int64, len(runs))
-	for i, m := range runs {
-		nsect, err := sectorCount(m.bufs)
-		if err != nil {
-			return 0, err
-		}
-		lba := m.block * int64(blockio.SectorsPerBlock)
-		if err := o.check(lba, nsect); err != nil {
-			return 0, err
-		}
-		svc, transfer := o.serviceNs(nsect)
-		svcs[i] = svc
-		o.account(lba, nsect, m.write, svc, transfer)
-	}
-	o.clock.Advance(o.makespan(svcs))
-	for _, m := range runs {
-		off := m.block * int64(blockio.BlockSize)
-		for _, b := range m.bufs {
-			var err error
-			if m.write {
-				err = o.store.WriteAt(b, off)
-			} else {
-				err = o.store.ReadAt(b, off)
-			}
-			if err != nil {
-				return 0, err
-			}
-			off += int64(len(b))
-		}
-	}
-	return len(runs), nil
-}
-
-// makespan returns how long a batch of concurrently-issued requests
-// occupies the device. Unbounded channels finish in the time of the
-// slowest request; a bounded pool packs requests longest-first onto the
-// least-loaded channel and finishes when the fullest channel drains.
-func (o *Store) makespan(svcs []int64) int64 {
-	var max int64
-	if o.spec.Channels <= 0 || len(svcs) <= o.spec.Channels {
-		for _, s := range svcs {
-			if s > max {
-				max = s
-			}
-		}
-		return max
-	}
-	sorted := append([]int64(nil), svcs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
-	load := make([]int64, o.spec.Channels)
-	for _, s := range sorted {
-		least := 0
-		for c := 1; c < len(load); c++ {
-			if load[c] < load[least] {
-				least = c
-			}
-		}
-		load[least] += s
-	}
-	for _, l := range load {
-		if l > max {
-			max = l
-		}
-	}
-	return max
-}
-
-// Close implements blockio.Target.
-func (o *Store) Close() error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.store.Close()
-}
-
-// SetTrace implements blockio.Target.
-func (o *Store) SetTrace(buf *[]disk.TraceEntry) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.trace = buf
-}
-
-// SetTraceFunc implements blockio.Target.
-func (o *Store) SetTraceFunc(fn func(disk.TraceEntry)) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.traceFunc = fn
-}
-
-// SetOpSource implements blockio.Target.
-func (o *Store) SetOpSource(fn func() (kind uint8, id uint64)) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.opSource = fn
-}
-
-// SetMetricsFunc implements blockio.Target.
-func (o *Store) SetMetricsFunc(fn func(disk.TraceEntry)) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.metricsFunc = fn
-}

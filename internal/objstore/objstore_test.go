@@ -1,7 +1,6 @@
 package objstore
 
 import (
-	"bytes"
 	"testing"
 
 	"cffs/internal/blockio"
@@ -26,14 +25,6 @@ func newTest(t *testing.T, spec Spec) *Store {
 	return o
 }
 
-func blockBuf(fill byte) []byte {
-	b := make([]byte, blockio.BlockSize)
-	for i := range b {
-		b[i] = fill
-	}
-	return b
-}
-
 func TestSpecValidate(t *testing.T) {
 	bad := []Spec{
 		{RTT: -1, Bandwidth: 1e6},
@@ -56,7 +47,7 @@ func TestSpecValidate(t *testing.T) {
 func TestSingleRequestTiming(t *testing.T) {
 	o := newTest(t, testSpec())
 	// One block: 1 ms RTT + 1 ms transfer.
-	if err := o.WriteV(0, [][]byte{blockBuf(7)}); err != nil {
+	if err := o.WriteV(0, [][]byte{make([]byte, blockio.BlockSize)}); err != nil {
 		t.Fatalf("WriteV: %v", err)
 	}
 	if got, want := o.Clock().Now(), int64(2e6); got != want {
@@ -113,48 +104,6 @@ func TestBatchIsMakespanNotSum(t *testing.T) {
 	}
 }
 
-func TestBatchMergesContiguousRuns(t *testing.T) {
-	o := newTest(t, testSpec())
-	// Sixteen contiguous single-block writes submitted out of order:
-	// exactly one 64 KB request.
-	var reqs []blockio.Req
-	for _, b := range []int64{8, 0, 12, 4, 9, 1, 13, 5, 10, 2, 14, 6, 11, 3, 15, 7} {
-		reqs = append(reqs, blockio.Req{
-			Write: true,
-			Block: b,
-			Bufs:  [][]byte{blockBuf(byte(b))},
-		})
-	}
-	issued, err := o.SubmitBlocks(reqs)
-	if err != nil {
-		t.Fatalf("SubmitBlocks: %v", err)
-	}
-	if issued != 1 {
-		t.Errorf("issued = %d, want 1 (contiguous blocks merge)", issued)
-	}
-	// One RTT + 16 transfer units.
-	if got, want := o.Clock().Now(), int64(17e6); got != want {
-		t.Errorf("merged batch took %d ns, want %d", got, want)
-	}
-	// Seventeen contiguous blocks overflow the 64 KB cap into two requests.
-	o.Clock().Reset()
-	reqs = reqs[:0]
-	for b := int64(0); b < 17; b++ {
-		reqs = append(reqs, blockio.Req{Write: true, Block: b, Bufs: [][]byte{blockBuf(1)}})
-	}
-	if issued, err = o.SubmitBlocks(reqs); err != nil || issued != 2 {
-		t.Errorf("17-block batch: issued=%d err=%v, want 2 requests", issued, err)
-	}
-	// Direction changes cut a run even when addresses are contiguous.
-	reqs = []blockio.Req{
-		{Block: 0, Bufs: [][]byte{make([]byte, blockio.BlockSize)}},
-		{Write: true, Block: 1, Bufs: [][]byte{blockBuf(2)}},
-	}
-	if issued, err = o.SubmitBlocks(reqs); err != nil || issued != 2 {
-		t.Errorf("mixed-direction batch: issued=%d err=%v, want 2", issued, err)
-	}
-}
-
 func TestBoundedChannels(t *testing.T) {
 	spec := testSpec()
 	spec.Channels = 2
@@ -180,65 +129,8 @@ func TestBoundedChannels(t *testing.T) {
 
 func TestUnboundedParallelismHint(t *testing.T) {
 	o := newTest(t, testSpec())
-	if o.Parallelism() != fanHint {
-		t.Errorf("Parallelism = %d, want fanHint %d", o.Parallelism(), fanHint)
-	}
-}
-
-func TestDataRoundTrip(t *testing.T) {
-	o := newTest(t, testSpec())
-	want := blockBuf(0xab)
-	if err := o.WriteV(16, [][]byte{want}); err != nil {
-		t.Fatalf("WriteV: %v", err)
-	}
-	got := make([]byte, blockio.BlockSize)
-	if err := o.ReadV(16, [][]byte{got}); err != nil {
-		t.Fatalf("ReadV: %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("read back different bytes than written")
-	}
-	// Through the batch path too.
-	if _, err := o.SubmitBlocks([]blockio.Req{{Write: true, Block: 5, Bufs: [][]byte{blockBuf(0xcd)}}}); err != nil {
-		t.Fatalf("SubmitBlocks write: %v", err)
-	}
-	if _, err := o.SubmitBlocks([]blockio.Req{{Block: 5, Bufs: [][]byte{got}}}); err != nil {
-		t.Fatalf("SubmitBlocks read: %v", err)
-	}
-	if !bytes.Equal(got, blockBuf(0xcd)) {
-		t.Error("batch path read back different bytes than written")
-	}
-}
-
-// orderedRecorder wraps a MemStore and records barrier writes.
-type orderedRecorder struct {
-	*disk.MemStore
-	ordered int
-}
-
-func (r *orderedRecorder) WriteAtOrdered(p []byte, off int64) error {
-	r.ordered++
-	return r.MemStore.WriteAt(p, off)
-}
-
-func TestOrderedWriteForwarded(t *testing.T) {
-	rec := &orderedRecorder{MemStore: disk.NewMemStore(testCapacity)}
-	o, err := New(testSpec(), sim.NewClock(), rec, testCapacity)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := o.WriteOrdered(0, blockBuf(1)); err != nil {
-		t.Fatalf("WriteOrdered: %v", err)
-	}
-	if rec.ordered != 1 {
-		t.Errorf("barrier write reached the store %d times, want 1", rec.ordered)
-	}
-	// Plain writes must not use the barrier path.
-	if err := o.WriteV(0, [][]byte{blockBuf(2)}); err != nil {
-		t.Fatalf("WriteV: %v", err)
-	}
-	if rec.ordered != 1 {
-		t.Errorf("plain write took the barrier path")
+	if o.Parallelism() != 16 {
+		t.Errorf("Parallelism = %d, want the engine's finite hint 16", o.Parallelism())
 	}
 }
 
@@ -248,7 +140,7 @@ func TestBoundsAndTrace(t *testing.T) {
 	if err := o.ReadV(end, [][]byte{make([]byte, blockio.BlockSize)}); err == nil {
 		t.Error("read past end succeeded")
 	}
-	if err := o.WriteV(-8, [][]byte{blockBuf(0)}); err == nil {
+	if err := o.WriteV(-8, [][]byte{make([]byte, blockio.BlockSize)}); err == nil {
 		t.Error("write at negative LBA succeeded")
 	}
 	if err := o.ReadV(0, [][]byte{make([]byte, 100)}); err == nil {
@@ -260,7 +152,7 @@ func TestBoundsAndTrace(t *testing.T) {
 	o.SetOpSource(func() (uint8, uint64) { return 3, 42 })
 	var fromFunc []disk.TraceEntry
 	o.SetTraceFunc(func(e disk.TraceEntry) { fromFunc = append(fromFunc, e) })
-	if err := o.WriteV(8, [][]byte{blockBuf(1)}); err != nil {
+	if err := o.WriteV(8, [][]byte{make([]byte, blockio.BlockSize)}); err != nil {
 		t.Fatalf("WriteV: %v", err)
 	}
 	if len(trace) != 1 || len(fromFunc) != 1 {

@@ -48,6 +48,7 @@ type ftl struct {
 	eraseOps   int64
 	gcRuns     int64
 	trims      int64
+	maxErase   int32 // highest entry of erases (wear skew); counts only grow
 }
 
 // newFTL builds the mapping for nLogical pages with the given erase
@@ -190,6 +191,9 @@ func (f *ftl) maybeGC() gcCost {
 		}
 		f.valid[victim] = 0
 		f.erases[victim]++
+		if f.erases[victim] > f.maxErase {
+			f.maxErase = f.erases[victim]
+		}
 		f.eraseOps++
 		cost.erases++
 		f.free = append(f.free, victim)
@@ -241,7 +245,7 @@ func (f *ftl) fill() {
 		f.maybeGC()
 	}
 	f.hostPages, f.flashPages = 0, 0
-	f.moved, f.eraseOps, f.gcRuns, f.trims = 0, 0, 0, 0
+	f.moved, f.eraseOps, f.gcRuns, f.trims, f.maxErase = 0, 0, 0, 0, 0
 	for i := range f.erases {
 		f.erases[i] = 0
 	}
@@ -254,17 +258,6 @@ func (f *ftl) writeAmp() float64 {
 		return 1
 	}
 	return float64(f.flashPages) / float64(f.hostPages)
-}
-
-// maxErase returns the highest per-block erase count (wear skew).
-func (f *ftl) maxErase() int32 {
-	var max int32
-	for _, e := range f.erases {
-		if e > max {
-			max = e
-		}
-	}
-	return max
 }
 
 // freeBlocks returns the current free pool size.

@@ -54,6 +54,16 @@ func checkFTL(t *testing.T, f *ftl) {
 			t.Fatalf("block %d: isFree=%v, pool membership %v", b, f.isFree[b], inPool[b])
 		}
 	}
+	// The running erase maximum equals a scan of the per-block counts.
+	var max int32
+	for _, e := range f.erases {
+		if e > max {
+			max = e
+		}
+	}
+	if f.maxErase != max {
+		t.Fatalf("running max erase %d, scan of erases finds %d", f.maxErase, max)
+	}
 }
 
 func TestFTLWriteRemap(t *testing.T) {
@@ -152,7 +162,7 @@ func TestFTLGCReclaims(t *testing.T) {
 	if wa := f.writeAmp(); wa <= 1 {
 		t.Fatalf("write amplification %.3f not above 1 at steady state", wa)
 	}
-	if f.maxErase() == 0 {
+	if f.maxErase == 0 {
 		t.Fatal("no erase wear recorded")
 	}
 	checkFTL(t, f)
@@ -189,7 +199,7 @@ func TestFTLFillResetsAccounting(t *testing.T) {
 		t.Fatalf("accounting not zeroed after fill: host=%d flash=%d runs=%d erases=%d",
 			f.hostPages, f.flashPages, f.gcRuns, f.eraseOps)
 	}
-	if f.maxErase() != 0 {
+	if f.maxErase != 0 {
 		t.Fatal("erase counts not zeroed after fill")
 	}
 	// Every logical page is mapped: the log has wrapped.

@@ -19,6 +19,9 @@
 // FTL's own axis: on an aged device GC taxes every write with migration
 // and erase time, which favors file systems that write less metadata.
 //
+// The request engine — validation, timing, batching across channels,
+// statistics — is internal/flatdev, shared with objstore; this package
+// is its microsecond parameter set plus the FTL on its write hook.
 // Unlike the disk and objstore models, the ssd carries state that
 // timing depends on (the FTL mapping); like them, it is fully
 // deterministic, so aged-image benchmarks reproduce bit-for-bit.
@@ -26,11 +29,10 @@ package ssd
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
-	"cffs/internal/blockio"
 	"cffs/internal/disk"
+	"cffs/internal/flatdev"
 	"cffs/internal/obs"
 	"cffs/internal/sim"
 )
@@ -101,14 +103,8 @@ func DefaultSpec() Spec {
 
 // Validate checks the spec for usable values.
 func (s Spec) Validate() error {
-	if s.ReqOverhead < 0 {
-		return fmt.Errorf("ssd: negative request overhead %g", s.ReqOverhead)
-	}
-	if s.Bandwidth <= 0 {
-		return fmt.Errorf("ssd: bandwidth %g not positive", s.Bandwidth)
-	}
-	if s.Channels < 0 {
-		return fmt.Errorf("ssd: negative channel count %d", s.Channels)
+	if err := s.params().Validate(); err != nil {
+		return err
 	}
 	if s.PageBytes <= 0 || s.PageBytes%disk.SectorSize != 0 {
 		return fmt.Errorf("ssd: page size %d is not a positive sector multiple", s.PageBytes)
@@ -125,37 +121,30 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-var (
-	_ blockio.Target         = (*Store)(nil)
-	_ blockio.BatchSubmitter = (*Store)(nil)
-)
+// params is the spec's share of the flat-cost request engine.
+func (s Spec) params() flatdev.Params {
+	return flatdev.Params{Name: "ssd", Fixed: s.ReqOverhead, Bandwidth: s.Bandwidth, Channels: s.Channels}
+}
 
-// fanHint is the parallelism reported upward when the channel pool is
-// unbounded, mirroring objstore.
-const fanHint = 16
+// Parallelism reports how many requests a device with this spec
+// services concurrently.
+func (s Spec) Parallelism() int { return s.params().Parallelism() }
 
 // Store is a simulated flash device presenting a flat logical sector
-// address space over a byte store, implementing blockio.Target and
-// blockio.BatchSubmitter. It is safe for concurrent use; a single mutex
-// serializes the timing model, the FTL, and statistics.
+// address space over a byte store: the flat-cost request engine, which
+// supplies blockio.Target, blockio.BatchSubmitter and the Parallelism
+// probe, with the FTL attached as its write hook. It is safe for
+// concurrent use; the engine's one mutex serializes the timing model,
+// the FTL, and statistics.
 //
 // The FTL is accounting, not a data path: the byte store always holds
 // logical data at logical offsets, so fsck, fault injection, and
 // crash-state reconstruction work on the ssd backend unchanged.
 type Store struct {
-	spec    Spec
-	clock   *sim.Clock
-	store   disk.Store
-	sectors int64
-	ftl     *ftl
-
-	mu sync.Mutex // guards stats, FTL, trace hooks, and the byte store
-
-	stats       disk.Stats
-	trace       *[]disk.TraceEntry
-	traceFunc   func(disk.TraceEntry)
-	opSource    func() (kind uint8, id uint64)
-	metricsFunc func(disk.TraceEntry)
+	*flatdev.Device
+	spec Spec
+	mu   *sync.Mutex // the engine's mutex; guards ftl and the instruments
+	ftl  *ftl
 
 	// ssd.* instruments; nil (no-op) until SetMetrics attaches a registry.
 	mHostPages *obs.Counter // ssd.pages.host
@@ -176,24 +165,20 @@ func New(spec Spec, clock *sim.Clock, st disk.Store, capacity int64) (*Store, er
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if capacity <= 0 || capacity%disk.SectorSize != 0 {
-		return nil, fmt.Errorf("ssd: capacity %d is not a positive sector multiple", capacity)
-	}
-	nLogical := int((capacity + int64(spec.PageBytes) - 1) / int64(spec.PageBytes))
-	f, err := newFTL(nLogical, spec.PagesPerBlock, spec.GCReserve, spec.OverProvision)
+	d := &Store{spec: spec}
+	k, err := flatdev.New(spec.params(), clock, st, capacity, d.ftlWrite)
 	if err != nil {
 		return nil, err
 	}
-	if spec.PreDirty {
-		f.fill()
+	d.Device, d.mu = k, k.Mutex()
+	nLogical := int((capacity + int64(spec.PageBytes) - 1) / int64(spec.PageBytes))
+	if d.ftl, err = newFTL(nLogical, spec.PagesPerBlock, spec.GCReserve, spec.OverProvision); err != nil {
+		return nil, err
 	}
-	return &Store{
-		spec:    spec,
-		clock:   clock,
-		store:   st,
-		sectors: capacity / disk.SectorSize,
-		ftl:     f,
-	}, nil
+	if spec.PreDirty {
+		d.ftl.fill()
+	}
+	return d, nil
 }
 
 // NewMem builds a flash device over a fresh in-memory image.
@@ -203,38 +188,6 @@ func NewMem(spec Spec, clock *sim.Clock, capacity int64) (*Store, error) {
 
 // Spec returns the timing parameters.
 func (d *Store) Spec() Spec { return d.spec }
-
-// Sectors implements blockio.Target.
-func (d *Store) Sectors() int64 { return d.sectors }
-
-// Clock implements blockio.Target.
-func (d *Store) Clock() *sim.Clock { return d.clock }
-
-// Parallelism reports how many requests a device with this spec
-// services concurrently. An unbounded channel pool reports fanHint.
-func (s Spec) Parallelism() int {
-	if s.Channels > 0 {
-		return s.Channels
-	}
-	return fanHint
-}
-
-// Parallelism implements the optional device-parallelism probe.
-func (d *Store) Parallelism() int { return d.spec.Parallelism() }
-
-// Stats implements blockio.Target.
-func (d *Store) Stats() disk.Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
-}
-
-// ResetStats implements blockio.Target.
-func (d *Store) ResetStats() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.stats = disk.Stats{}
-}
 
 // SetMetrics attaches a registry for the device's FTL instruments.
 // Counters: ssd.pages.host, ssd.pages.flash, ssd.gc.runs,
@@ -265,7 +218,7 @@ func (d *Store) SetMetrics(r *obs.Registry) {
 func (d *Store) updateGauges() {
 	d.gWriteAmp.Set(int64(d.ftl.writeAmp() * 100))
 	d.gFreeBlks.Set(int64(d.ftl.freeBlocks()))
-	d.gEraseMax.Set(int64(d.ftl.maxErase()))
+	d.gEraseMax.Set(int64(d.ftl.maxErase))
 }
 
 // FTLStats is a point-in-time copy of the FTL's accounting, for
@@ -294,17 +247,9 @@ func (d *Store) FTL() FTLStats {
 		GCRuns:     d.ftl.gcRuns,
 		Trims:      d.ftl.trims,
 		WriteAmp:   d.ftl.writeAmp(),
-		MaxErase:   d.ftl.maxErase(),
+		MaxErase:   d.ftl.maxErase,
 		FreeBlocks: d.ftl.freeBlocks(),
 	}
-}
-
-// serviceNs returns one request's host-visible service time: fixed
-// overhead plus streaming transfer. No positioning term, no distance
-// dependence — that is the whole point of this backend.
-func (d *Store) serviceNs(nsect int) (svc, transfer int64) {
-	transfer = int64(float64(nsect) * disk.SectorSize / d.spec.Bandwidth * 1e9)
-	return int64(d.spec.ReqOverhead*1e9) + transfer, transfer
 }
 
 // gcNs prices one GC round: migrated pages stream at the device
@@ -317,9 +262,10 @@ func (d *Store) gcNs(cost gcCost) int64 {
 	return program + cost.erases*int64(d.spec.Erase*1e9)
 }
 
-// ftlWrite maps one host write through the FTL with d.mu held: every
-// touched page is programmed out-of-place, and any GC the write forced
-// is priced and counted. It returns the GC time to charge on the clock.
+// ftlWrite is the engine's write hook, so it runs with d.mu held: every
+// page the write touches is programmed out-of-place, and any GC the
+// write forced is priced and counted. It returns the GC time to charge
+// on the clock. Reads never come here — flash reads are in-place.
 func (d *Store) ftlWrite(lba int64, nsect int) (int64, error) {
 	spp := int64(d.spec.PageBytes / disk.SectorSize)
 	first := lba / spp
@@ -353,7 +299,7 @@ func (d *Store) ftlWrite(lba int64, nsect int) (int64, error) {
 // covered by the run, so GC never migrates its contents. Timing-free —
 // trims ride in the host's command stream.
 func (d *Store) Trim(lba int64, nsect int) error {
-	if err := d.check(lba, nsect); err != nil {
+	if err := d.Check(lba, nsect); err != nil {
 		return err
 	}
 	d.mu.Lock()
@@ -371,291 +317,4 @@ func (d *Store) Trim(lba int64, nsect int) error {
 	d.mTrims.Add(n)
 	d.updateGauges()
 	return nil
-}
-
-// account records one serviced request's statistics and trace entry
-// with d.mu held. It does not touch the clock; callers advance it by
-// the request's completion model (serial or batched).
-func (d *Store) account(lba int64, nsect int, write bool, svc, transfer int64) {
-	if write {
-		d.stats.Writes++
-		d.stats.SectorsWrite += int64(nsect)
-	} else {
-		d.stats.Reads++
-		d.stats.SectorsRead += int64(nsect)
-	}
-	d.stats.Requests++
-	d.stats.BusyNanos += svc
-	d.stats.TransferNanos += transfer
-	if d.trace != nil || d.traceFunc != nil || d.metricsFunc != nil {
-		e := disk.TraceEntry{LBA: lba, Count: nsect, Write: write, Nanos: svc}
-		if d.opSource != nil {
-			e.OpKind, e.OpID = d.opSource()
-		}
-		if d.trace != nil {
-			*d.trace = append(*d.trace, e)
-		}
-		if d.traceFunc != nil {
-			d.traceFunc(e)
-		}
-		if d.metricsFunc != nil {
-			d.metricsFunc(e)
-		}
-	}
-}
-
-func (d *Store) check(lba int64, nsect int) error {
-	if nsect <= 0 {
-		return fmt.Errorf("ssd: request of %d sectors", nsect)
-	}
-	if lba < 0 || lba+int64(nsect) > d.sectors {
-		return fmt.Errorf("ssd: request [%d,%d) outside device of %d sectors",
-			lba, lba+int64(nsect), d.sectors)
-	}
-	return nil
-}
-
-func sectorCount(bufs [][]byte) (int, error) {
-	total := 0
-	for _, b := range bufs {
-		if len(b) == 0 || len(b)%disk.SectorSize != 0 {
-			return 0, fmt.Errorf("ssd: transfer of %d bytes is not a positive sector multiple", len(b))
-		}
-		total += len(b) / disk.SectorSize
-	}
-	return total, nil
-}
-
-// ReadV implements blockio.Target: one request, one fixed cost,
-// scattered into bufs. Reads never touch the FTL accounting — flash
-// reads are in-place.
-func (d *Store) ReadV(lba int64, bufs [][]byte) error {
-	return d.rw(lba, bufs, false, false)
-}
-
-// WriteV implements blockio.Target.
-func (d *Store) WriteV(lba int64, bufs [][]byte) error {
-	return d.rw(lba, bufs, true, false)
-}
-
-// WriteOrdered implements blockio.Target: timing and FTL cost are an
-// ordinary write; the barrier is forwarded to the backing byte store
-// when it distinguishes ordered writes (the fault injector does). The
-// FTL's log-structured mapping makes the barrier cheap on real flash
-// too — ordered metadata writes are the C-FFS cost that survives the
-// move off mechanical disks, which is why the experiment matrix counts
-// them per backend.
-func (d *Store) WriteOrdered(lba int64, buf []byte) error {
-	return d.rw(lba, [][]byte{buf}, true, true)
-}
-
-// rw services one request end to end: timing, FTL, statistics, byte
-// movement.
-func (d *Store) rw(lba int64, bufs [][]byte, write, ordered bool) error {
-	nsect, err := sectorCount(bufs)
-	if err != nil {
-		return err
-	}
-	if err := d.check(lba, nsect); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	svc, transfer := d.serviceNs(nsect)
-	var gc int64
-	if write {
-		if gc, err = d.ftlWrite(lba, nsect); err != nil {
-			return err
-		}
-	}
-	d.account(lba, nsect, write, svc, transfer)
-	d.stats.BusyNanos += gc
-	d.clock.Advance(svc + gc)
-	off := lba * disk.SectorSize
-	for _, b := range bufs {
-		if write {
-			if ordered {
-				if os, ok := d.store.(disk.OrderedStore); ok {
-					err = os.WriteAtOrdered(b, off)
-				} else {
-					err = d.store.WriteAt(b, off)
-				}
-			} else {
-				err = d.store.WriteAt(b, off)
-			}
-		} else {
-			err = d.store.ReadAt(b, off)
-		}
-		if err != nil {
-			return err
-		}
-		off += int64(len(b))
-	}
-	return nil
-}
-
-// SubmitBlocks implements blockio.BatchSubmitter. As on the object
-// store there is no head position and nothing to sweep: contiguous
-// same-direction runs coalesce into one request (capped at the 64 KB
-// transfer limit so request sizes stay comparable with the disk
-// backend), and the merged requests service concurrently across
-// channels — batch cost is the makespan, not the sum. GC forced by the
-// batch's writes is device-internal housekeeping and serializes after
-// the batch on the simulated clock. Explicit grouping still matters
-// here precisely because it makes a directory's blocks contiguous and
-// therefore mergeable; without it every small file is its own
-// full-overhead request.
-func (d *Store) SubmitBlocks(reqs []blockio.Req) (int, error) {
-	if len(reqs) == 0 {
-		return 0, nil
-	}
-	// Address order is meaningless for timing but is what makes merges
-	// visible; a stable scan in block order finds every contiguous run.
-	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ra, rb := &reqs[order[a]], &reqs[order[b]]
-		if ra.Block != rb.Block {
-			return ra.Block < rb.Block
-		}
-		return !ra.Write && rb.Write
-	})
-	type run struct {
-		block int64
-		write bool
-		bufs  [][]byte
-	}
-	var runs []run
-	for i := 0; i < len(order); {
-		first := &reqs[order[i]]
-		m := run{block: first.Block, write: first.Write}
-		m.bufs = append(m.bufs, first.Bufs...)
-		next := first.Block + int64(len(first.Bufs))
-		j := i + 1
-		for j < len(order) {
-			r := &reqs[order[j]]
-			if r.Write != m.write || r.Block != next ||
-				len(m.bufs)+len(r.Bufs) > blockio.MaxTransferBlocks {
-				break
-			}
-			m.bufs = append(m.bufs, r.Bufs...)
-			next += int64(len(r.Bufs))
-			j++
-		}
-		runs = append(runs, m)
-		i = j
-	}
-
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	svcs := make([]int64, len(runs))
-	var gcTotal int64
-	for i, m := range runs {
-		nsect, err := sectorCount(m.bufs)
-		if err != nil {
-			return 0, err
-		}
-		lba := m.block * int64(blockio.SectorsPerBlock)
-		if err := d.check(lba, nsect); err != nil {
-			return 0, err
-		}
-		svc, transfer := d.serviceNs(nsect)
-		svcs[i] = svc
-		if m.write {
-			gc, err := d.ftlWrite(lba, nsect)
-			if err != nil {
-				return 0, err
-			}
-			gcTotal += gc
-		}
-		d.account(lba, nsect, m.write, svc, transfer)
-	}
-	d.stats.BusyNanos += gcTotal
-	d.clock.Advance(d.makespan(svcs) + gcTotal)
-	for _, m := range runs {
-		off := m.block * int64(blockio.BlockSize)
-		for _, b := range m.bufs {
-			var err error
-			if m.write {
-				err = d.store.WriteAt(b, off)
-			} else {
-				err = d.store.ReadAt(b, off)
-			}
-			if err != nil {
-				return 0, err
-			}
-			off += int64(len(b))
-		}
-	}
-	return len(runs), nil
-}
-
-// makespan returns how long a batch of concurrently-issued requests
-// occupies the device: slowest request on unbounded channels, fullest
-// channel under longest-first packing on a bounded pool.
-func (d *Store) makespan(svcs []int64) int64 {
-	var max int64
-	if d.spec.Channels <= 0 || len(svcs) <= d.spec.Channels {
-		for _, s := range svcs {
-			if s > max {
-				max = s
-			}
-		}
-		return max
-	}
-	sorted := append([]int64(nil), svcs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
-	load := make([]int64, d.spec.Channels)
-	for _, s := range sorted {
-		least := 0
-		for c := 1; c < len(load); c++ {
-			if load[c] < load[least] {
-				least = c
-			}
-		}
-		load[least] += s
-	}
-	for _, l := range load {
-		if l > max {
-			max = l
-		}
-	}
-	return max
-}
-
-// Close implements blockio.Target.
-func (d *Store) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.store.Close()
-}
-
-// SetTrace implements blockio.Target.
-func (d *Store) SetTrace(buf *[]disk.TraceEntry) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.trace = buf
-}
-
-// SetTraceFunc implements blockio.Target.
-func (d *Store) SetTraceFunc(fn func(disk.TraceEntry)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.traceFunc = fn
-}
-
-// SetOpSource implements blockio.Target.
-func (d *Store) SetOpSource(fn func() (kind uint8, id uint64)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.opSource = fn
-}
-
-// SetMetricsFunc implements blockio.Target.
-func (d *Store) SetMetricsFunc(fn func(disk.TraceEntry)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.metricsFunc = fn
 }

@@ -3,6 +3,7 @@ package ssd
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"cffs/internal/blockio"
@@ -12,6 +13,11 @@ import (
 )
 
 const testCap = 4 << 20 // 4 MB: small enough that GC tests are cheap
+
+// svcNs is what one nsect-sector request costs the host under spec.
+func svcNs(spec Spec, nsect int) int64 {
+	return int64(spec.ReqOverhead*1e9) + int64(float64(nsect)*disk.SectorSize/spec.Bandwidth*1e9)
+}
 
 func newTestStore(t *testing.T, spec Spec) *Store {
 	t.Helper()
@@ -102,8 +108,7 @@ func TestGCChargedOnClock(t *testing.T) {
 		if err := d.WriteV(lba, [][]byte{buf}); err != nil {
 			t.Fatal(err)
 		}
-		svc, _ := d.serviceNs(blockio.SectorsPerBlock)
-		hostSvc += svc
+		hostSvc += svcNs(spec, blockio.SectorsPerBlock)
 	}
 	snap := reg.Snapshot()
 	gcNs := snap.Counter("ssd.gc.ns")
@@ -149,36 +154,6 @@ func TestFreshDeviceNoGC(t *testing.T) {
 	}
 }
 
-func TestSubmitBlocksMergesAndPacks(t *testing.T) {
-	spec := DefaultSpec()
-	spec.Channels = 2
-	d := newTestStore(t, spec)
-
-	mkreq := func(block int64) blockio.Req {
-		return blockio.Req{Block: block, Bufs: [][]byte{make([]byte, blockio.BlockSize)}}
-	}
-	// Two contiguous runs of 4 blocks each, far apart: must merge to 2
-	// requests and service on 2 channels for the cost of one.
-	var reqs []blockio.Req
-	for i := int64(0); i < 4; i++ {
-		reqs = append(reqs, mkreq(i), mkreq(200+i))
-	}
-	issued, err := d.SubmitBlocks(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if issued != 2 {
-		t.Fatalf("issued %d requests, want 2 merged runs", issued)
-	}
-	svc, _ := d.serviceNs(4 * blockio.SectorsPerBlock)
-	if got := d.Clock().Now(); got != svc {
-		t.Fatalf("2-channel makespan %dns, want one run's %dns", got, svc)
-	}
-	if st := d.Stats(); st.Requests != 2 {
-		t.Fatalf("stats count %d requests, want 2", st.Requests)
-	}
-}
-
 func TestSubmitBlocksBoundedChannels(t *testing.T) {
 	spec := DefaultSpec()
 	spec.Channels = 2
@@ -192,36 +167,9 @@ func TestSubmitBlocksBoundedChannels(t *testing.T) {
 	if _, err := d.SubmitBlocks(reqs); err != nil {
 		t.Fatal(err)
 	}
-	svc, _ := d.serviceNs(blockio.SectorsPerBlock)
+	svc := svcNs(spec, blockio.SectorsPerBlock)
 	if got := d.Clock().Now(); got != 2*svc {
 		t.Fatalf("makespan %dns, want 2 serialized requests = %dns", got, 2*svc)
-	}
-}
-
-// TestOrderedWriteForwarded checks WriteOrdered reaches the byte store's
-// ordered entry point — the hook the fault injector's reordering model
-// depends on.
-type orderedSpy struct {
-	disk.Store
-	ordered int
-}
-
-func (s *orderedSpy) WriteAtOrdered(p []byte, off int64) error {
-	s.ordered++
-	return s.Store.WriteAt(p, off)
-}
-
-func TestOrderedWriteForwarded(t *testing.T) {
-	spy := &orderedSpy{Store: disk.NewMemStore(testCap)}
-	d, err := New(DefaultSpec(), sim.NewClock(), spy, testCap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.WriteOrdered(0, make([]byte, blockio.BlockSize)); err != nil {
-		t.Fatal(err)
-	}
-	if spy.ordered != 1 {
-		t.Fatalf("ordered writes forwarded %d times, want 1", spy.ordered)
 	}
 }
 
@@ -246,17 +194,18 @@ func TestTrimUnmapsWholePages(t *testing.T) {
 }
 
 func TestBoundsAndValidation(t *testing.T) {
+	// Request bounds are the engine's (flatdev's battery); what is this
+	// package's own is that a request the engine refuses never reaches the
+	// FTL, and the spec checks the engine does not know about.
 	d := newTestStore(t, DefaultSpec())
-	buf := make([]byte, blockio.BlockSize)
-	sectors := int64(testCap / disk.SectorSize)
-	if err := d.ReadV(sectors, [][]byte{buf}); err == nil {
-		t.Fatal("out-of-range read accepted")
+	if err := d.WriteV(testCap/disk.SectorSize, [][]byte{make([]byte, blockio.BlockSize)}); err == nil {
+		t.Fatal("out-of-range write accepted")
 	}
-	if err := d.WriteV(-8, [][]byte{buf}); err == nil {
-		t.Fatal("negative LBA accepted")
+	if err := d.Trim(-8, 8); err == nil {
+		t.Fatal("negative-LBA trim accepted")
 	}
-	if err := d.WriteV(0, [][]byte{make([]byte, 100)}); err == nil {
-		t.Fatal("non-sector-multiple transfer accepted")
+	if f := d.FTL(); f.HostPages != 0 || f.Trims != 0 {
+		t.Fatalf("refused requests reached the FTL: %+v", f)
 	}
 	bad := DefaultSpec()
 	bad.Bandwidth = 0
@@ -279,7 +228,59 @@ func TestParallelismProbe(t *testing.T) {
 	}
 	spec.Channels = 0
 	d = newTestStore(t, spec)
-	if got := d.Parallelism(); got != fanHint {
-		t.Fatalf("unbounded Parallelism()=%d, want fanHint %d", got, fanHint)
+	if got := d.Parallelism(); got != 16 {
+		t.Fatalf("unbounded Parallelism()=%d, want the engine's finite hint 16", got)
 	}
+}
+
+// TestConcurrentUse hammers every entry point of one aged device at
+// once. The engine's mutex is the FTL's only guard — Trim, FTL and
+// SetMetrics borrow it — so this is a -race test of that one-mutex rule.
+func TestConcurrentUse(t *testing.T) {
+	spec := DefaultSpec()
+	spec.PagesPerBlock, spec.PreDirty = 8, true // GC runs inside the writes
+	d := newTestStore(t, spec)
+	const rounds = 200
+	blocks := int64(testCap / blockio.BlockSize)
+	var trace []disk.TraceEntry
+	workers := []func(i int64) error{
+		func(i int64) error {
+			return d.ReadV(i%blocks*blockio.SectorsPerBlock, [][]byte{make([]byte, blockio.BlockSize)})
+		},
+		func(i int64) error {
+			return d.WriteV(i*7%blocks*blockio.SectorsPerBlock, [][]byte{make([]byte, blockio.BlockSize)})
+		},
+		func(i int64) error {
+			_, err := d.SubmitBlocks([]blockio.Req{
+				{Write: true, Block: i * 13 % blocks, Bufs: [][]byte{make([]byte, blockio.BlockSize)}},
+				{Block: i * 17 % blocks, Bufs: [][]byte{make([]byte, blockio.BlockSize)}},
+			})
+			return err
+		},
+		func(i int64) error { return d.Trim(i*5%blocks*blockio.SectorsPerBlock, blockio.SectorsPerBlock) },
+		func(i int64) error { _ = d.FTL(); _ = d.Stats(); d.ResetStats(); return nil },
+		func(i int64) error { d.SetMetrics(obs.NewRegistry()); return nil },
+		func(i int64) error {
+			d.SetTrace(&trace)
+			d.SetTraceFunc(func(disk.TraceEntry) {})
+			d.SetMetricsFunc(func(disk.TraceEntry) {})
+			d.SetOpSource(func() (uint8, uint64) { return 1, uint64(i) })
+			return nil
+		},
+	}
+	var wg sync.WaitGroup
+	for _, w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(0); i < rounds; i++ {
+				if err := w(i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	checkFTL(t, d.ftl)
 }

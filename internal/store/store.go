@@ -231,23 +231,44 @@ func FeaturesFor(cfg Config) (Features, error) {
 	return p.FeaturesFor(cfg), nil
 }
 
-// openBytes builds the byte-store bottom of every stack: the image
-// (file or memory) plus the optional fault injector.
-func openBytes(cfg Config, size int64) (root disk.Store, bottom disk.Store, fst *fault.Store, err error) {
+// image is the opened bottom of a stack, what a provider builds its
+// device over: the drive model that sized it, its byte length, and the
+// byte store (the fault injector when armed, else the image itself).
+type image struct {
+	drive  disk.Spec
+	size   int64
+	bottom disk.Store
+}
+
+// openImage is the preamble every provider shares: resolve the drive
+// model and the scheduler, then open the image (file or memory, disks
+// drives long, so one image file moves between backends) and arm the
+// optional fault injector over it. The returned Backend lacks only its
+// device, which the provider builds over the image and sets as Target.
+func openImage(cfg Config, feats Features, disks int) (*Backend, image, error) {
+	drive, err := disk.SpecByName(cfg.Drive)
+	if err != nil {
+		return nil, image{}, err
+	}
+	sch, ok := sched.ByName(cfg.Scheduler)
+	if !ok {
+		return nil, image{}, fmt.Errorf("store: unknown scheduler %q", cfg.Scheduler)
+	}
+	img := image{drive: drive, size: int64(disks) * drive.Geom.Bytes()}
+	b := &Backend{Name: cfg.Backend, Features: feats, sch: sch}
 	if cfg.Path != "" {
-		root, err = disk.OpenFileStore(cfg.Path, size)
-		if err != nil {
-			return nil, nil, nil, err
+		if b.Bytes, err = disk.OpenFileStore(cfg.Path, img.size); err != nil {
+			return nil, image{}, err
 		}
 	} else {
-		root = disk.NewMemStore(size)
+		b.Bytes = disk.NewMemStore(img.size)
 	}
-	bottom = root
+	img.bottom = b.Bytes
 	if cfg.Faults {
-		fst = fault.NewStore(root, cfg.FaultSeed)
-		bottom = fst
+		b.Fault = fault.NewStore(b.Bytes, cfg.FaultSeed)
+		img.bottom = b.Fault
 	}
-	return root, bottom, fst, nil
+	return b, img, nil
 }
 
 func diskFeatures(cfg Config) Features {
@@ -263,30 +284,16 @@ func diskFeatures(cfg Config) Features {
 }
 
 func openDisk(cfg Config) (*Backend, error) {
-	spec, err := disk.SpecByName(cfg.Drive)
+	b, img, err := openImage(cfg, diskFeatures(cfg), 1)
 	if err != nil {
 		return nil, err
 	}
-	sch, ok := sched.ByName(cfg.Scheduler)
-	if !ok {
-		return nil, fmt.Errorf("store: unknown scheduler %q", cfg.Scheduler)
-	}
-	root, bottom, fst, err := openBytes(cfg, spec.Geom.Bytes())
+	d, err := disk.New(img.drive, sim.NewClock(), img.bottom)
 	if err != nil {
 		return nil, err
 	}
-	d, err := disk.New(spec, sim.NewClock(), bottom)
-	if err != nil {
-		return nil, err
-	}
-	return &Backend{
-		Name:     cfg.Backend,
-		Features: diskFeatures(cfg),
-		Target:   d,
-		Bytes:    root,
-		Fault:    fst,
-		sch:      sch,
-	}, nil
+	b.Target = d
+	return b, nil
 }
 
 func stripedFeatures(cfg Config) Features {
@@ -297,78 +304,52 @@ func stripedFeatures(cfg Config) Features {
 }
 
 func openStriped(cfg Config) (*Backend, error) {
-	spec, err := disk.SpecByName(cfg.Drive)
-	if err != nil {
-		return nil, err
-	}
-	sch, ok := sched.ByName(cfg.Scheduler)
-	if !ok {
-		return nil, fmt.Errorf("store: unknown scheduler %q", cfg.Scheduler)
-	}
-	root, bottom, fst, err := openBytes(cfg, int64(cfg.Disks)*spec.Geom.Bytes())
+	b, img, err := openImage(cfg, stripedFeatures(cfg), cfg.Disks)
 	if err != nil {
 		return nil, err
 	}
 	// Build lays the members out as disk.Window views over the one
 	// backing store, so a striped image is a single file and barriers
 	// stay global across spindles.
-	vol, err := volume.Build(spec, cfg.Disks, sim.NewClock(), bottom, volume.Config{})
+	vol, err := volume.Build(img.drive, cfg.Disks, sim.NewClock(), img.bottom, volume.Config{})
 	if err != nil {
 		return nil, err
 	}
-	return &Backend{
-		Name:     cfg.Backend,
-		Features: stripedFeatures(cfg),
-		Target:   vol,
-		Bytes:    root,
-		Fault:    fst,
-		Volume:   vol,
-		sch:      sch,
-	}, nil
+	b.Target, b.Volume = vol, vol
+	return b, nil
+}
+
+// flatFeatures is what both seek-free backends get from internal/flatdev.
+func flatFeatures(cfg Config, parallelism int) Features {
+	return Features{
+		Ordered:       true,
+		AtomicSectors: true,
+		Batch:         true,
+		Parallelism:   parallelism,
+		Seek:          false,
+		FileImage:     true,
+		Faulty:        cfg.Faults,
+		Stats:         true,
+	}
 }
 
 func objstoreFeatures(cfg Config) Features {
-	return Features{
-		Ordered:        true,
-		AtomicSectors:  true,
-		AtomicRequests: true,
-		Batch:          true,
-		Parallelism:    objstore.DefaultSpec().Parallelism(),
-		Seek:           false,
-		FileImage:      true,
-		Faulty:         cfg.Faults,
-		Stats:          true,
-	}
+	f := flatFeatures(cfg, objstore.DefaultSpec().Parallelism())
+	f.AtomicRequests = true
+	return f
 }
 
 func openObjstore(cfg Config) (*Backend, error) {
-	dspec, err := disk.SpecByName(cfg.Drive)
+	b, img, err := openImage(cfg, objstoreFeatures(cfg), cfg.Disks)
 	if err != nil {
 		return nil, err
 	}
-	sch, ok := sched.ByName(cfg.Scheduler)
-	if !ok {
-		return nil, fmt.Errorf("store: unknown scheduler %q", cfg.Scheduler)
-	}
-	// Size the image exactly like the disk backends do, so one image file
-	// moves between backends and the same mkfs layout fits.
-	size := int64(cfg.Disks) * dspec.Geom.Bytes()
-	root, bottom, fst, err := openBytes(cfg, size)
+	o, err := objstore.New(objstore.DefaultSpec(), sim.NewClock(), img.bottom, img.size)
 	if err != nil {
 		return nil, err
 	}
-	o, err := objstore.New(objstore.DefaultSpec(), sim.NewClock(), bottom, size)
-	if err != nil {
-		return nil, err
-	}
-	return &Backend{
-		Name:     cfg.Backend,
-		Features: objstoreFeatures(cfg),
-		Target:   o,
-		Bytes:    root,
-		Fault:    fst,
-		sch:      sch,
-	}, nil
+	b.Target = o
+	return b, nil
 }
 
 // ssdSpec resolves cfg into the flash device's spec.
@@ -382,47 +363,20 @@ func ssdSpec(cfg Config) ssd.Spec {
 }
 
 func ssdFeatures(cfg Config) Features {
-	return Features{
-		Ordered:       true,
-		AtomicSectors: true,
-		Batch:         true,
-		Parallelism:   ssdSpec(cfg).Parallelism(),
-		Seek:          false,
-		FileImage:     true,
-		Faulty:        cfg.Faults,
-		Stats:         true,
-	}
+	return flatFeatures(cfg, ssdSpec(cfg).Parallelism())
 }
 
 func openSSD(cfg Config) (*Backend, error) {
-	dspec, err := disk.SpecByName(cfg.Drive)
+	b, img, err := openImage(cfg, ssdFeatures(cfg), cfg.Disks)
 	if err != nil {
 		return nil, err
 	}
-	sch, ok := sched.ByName(cfg.Scheduler)
-	if !ok {
-		return nil, fmt.Errorf("store: unknown scheduler %q", cfg.Scheduler)
-	}
-	// Size the image exactly like the disk backends do, so one image file
-	// moves between backends and the same mkfs layout fits.
-	size := int64(cfg.Disks) * dspec.Geom.Bytes()
-	root, bottom, fst, err := openBytes(cfg, size)
+	s, err := ssd.New(ssdSpec(cfg), sim.NewClock(), img.bottom, img.size)
 	if err != nil {
 		return nil, err
 	}
-	s, err := ssd.New(ssdSpec(cfg), sim.NewClock(), bottom, size)
-	if err != nil {
-		return nil, err
-	}
-	return &Backend{
-		Name:     cfg.Backend,
-		Features: ssdFeatures(cfg),
-		Target:   s,
-		Bytes:    root,
-		Fault:    fst,
-		SSD:      s,
-		sch:      sch,
-	}, nil
+	b.Target, b.SSD = s, s
+	return b, nil
 }
 
 func init() {

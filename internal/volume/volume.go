@@ -87,7 +87,10 @@ type Volume struct {
 
 	// Observer state lives under its own lock: member trace/metrics
 	// callbacks fire inside dispatch (which holds mu and the member's
-	// request lock), so they must not need mu again.
+	// request lock), so they must not need mu again. That is why this is
+	// not a disk.Observers, which locks through its owner's request lock:
+	// the volume fans its members' already-stamped entries in, and the op
+	// source is forwarded to the members instead of queried here.
 	obsMu       sync.Mutex
 	trace       *[]disk.TraceEntry
 	traceFunc   func(disk.TraceEntry)
