@@ -10,321 +10,51 @@ import (
 	"cffs/internal/vfs"
 )
 
-// Check is the offline consistency checker for C-FFS images. It finds
-// every inode by walking the directory hierarchy from the root — the
-// recovery strategy the paper describes for embedded inodes — and
-// rebuilds the allocation state, comparing it against what is on disk:
-//
-//   - every block claimed by exactly one owner (file, directory,
-//     indirect block, or metadata);
-//   - block bitmaps match reachability (no lost or double-used blocks);
-//   - group descriptors consistent: used bits only on allocated blocks,
-//     owners that are live directories or emptied-out leftovers;
-//   - link counts match the number of names found;
-//   - "." and ".." entries well-formed;
-//   - external inodes all reachable (no orphans).
-//
-// With repair set, Check is a recovery path, not just a detector. The
-// walk collects a structural fix for each problem it can attribute to a
-// specific object — dangling or duplicate entries are cleared, orphaned
-// external inodes are zeroed, bad block pointers are cut, link and
-// block counts rewritten, "."/".." regenerated — and the fixes are
-// applied and the walk repeated until the namespace is stable. The
-// allocation state (bitmaps, group descriptors) is then rebuilt from
-// the repaired namespace, and one final verification walk runs; any
-// problem that survives it is reported as unrepairable.
+// Check is the offline consistency checker for C-FFS images. The
+// algorithm is fsck.Run's; this file supplies what the C-FFS format
+// makes different. An embedded inode has no location of its own, so it
+// is reached — and, when damaged, cleared — only through the directory
+// slot that holds it: the recovery strategy the paper describes. Beyond
+// the engine's shared checks this layout adds group descriptors (used
+// bits only on referenced blocks, no owner without blocks: groupState),
+// directory indexes (an exact bijection with the slots they index,
+// dropped when wrong or made stale by a repair, rebuilt once allocation
+// is sound: the hooks) and the unclean flag, cleared once the image
+// verifies end to end.
 func Check(dev *blockio.Device, repair bool) (*fsck.Report, error) {
 	// Indexing is disabled on the checker's own mount, and on-disk
 	// indexes are distrusted regardless of the clean flag: fsck's own
-	// directory operations (fixDot) must not follow or build index
-	// structures while the allocation state is still suspect. Index
-	// verification and rebuild are explicit phases below.
+	// directory operations (addEntry) must not follow or build index
+	// structures while the allocation state is still suspect.
 	fs, err := Mount(dev, Options{DirIndexBlocks: -1})
 	if err != nil {
 		return nil, err
 	}
 	fs.wasClean = false
-	r := &fsck.Report{FS: "cffs"}
-	sh, err := runWalk(fs, r)
-	if err != nil {
-		return nil, err
-	}
-	if !repair || r.Clean() {
-		r.UsedBlocks = len(sh.used)
-		return r, nil
-	}
-
-	// Structural passes: each fix can expose the next problem (clearing
-	// a dangling entry orphans its inode), so repair iterates until a
-	// walk collects no further fixes. Directory indexes dropped along
-	// the way are remembered for rebuild once allocation is sound.
-	cur := sh
-	rebuild := make(map[vfs.Ino]bool)
-	for pass := 0; pass < 4 && cur.fx.any(); pass++ {
-		n, err := cur.applyFixes()
-		if err != nil {
-			return nil, err
-		}
-		for d := range cur.idxCleared {
-			rebuild[d] = true
-		}
-		r.RepairsMade += n
-		r2 := &fsck.Report{}
-		if cur, err = runWalk(fs, r2); err != nil {
-			return nil, err
-		}
-	}
-
-	// Allocation rebuild from the repaired namespace.
-	n, err := cur.rewriteAlloc()
-	if err != nil {
-		return nil, err
-	}
-	r.RepairsMade += n
-
-	// Index rebuild, only now: building earlier would allocate from
-	// bitmaps the walk had not yet proven (or repaired), risking live
-	// blocks. Directories that no longer clear the size threshold stay
-	// linear — the runtime rebuilds them if they grow again.
-	nri := 0
-	for d := range rebuild {
-		in, err := fs.getInode(d)
-		if err != nil || in.Type != vfs.TypeDir || in.DirIndexRootPtr() != 0 {
-			continue
-		}
-		if in.Size/blockio.BlockSize <= dirIndexMinBlocks {
-			continue
-		}
-		if err := fs.idxBuild(&in, d, 0); err != nil {
-			return nil, err
-		}
-		nri++
-	}
-	if nri > 0 {
-		r.RepairsMade += nri
-		if err := fs.c.Sync(); err != nil {
-			return nil, err
-		}
-	}
-
-	// Verification: whatever a fresh walk still reports is beyond this
-	// checker's repair power.
-	rv := &fsck.Report{}
-	v, err := runWalk(fs, rv)
-	if err != nil {
-		return nil, err
-	}
-	r.Unrepairable = rv.Problems
-	r.UsedBlocks = len(v.used)
-
-	// The image now verifies end to end (indexes included), so the
-	// unclean marker can come off: the next mount may trust what fsck
-	// just proved.
-	if len(r.Unrepairable) == 0 && fs.sb.Dirty {
-		fs.dirtyMarked = true
-		if err := fs.markClean(); err != nil {
-			return nil, err
-		}
-		r.RepairsMade++
-	}
-	return r, nil
+	ck := &checker{fs: fs, rebuild: make(map[vfs.Ino]bool)}
+	return fsck.Run(&fsck.Layout{
+		FS: "cffs", Cache: fs.c, Root: RootIno,
+		Blocks: fs.sb.NBlocks, Groups: fs.sb.NAG, GroupStart: fs.sb.agStart(0),
+		GroupBlocks: fs.sb.AGBlocks, BitmapOff: agBmapOff,
+		ClaimFixed:   ck.claimFixed,
+		GetInode:     fs.getInode,
+		PutInode:     func(ino vfs.Ino, in *layout.Inode) error { return fs.putInode(ino, in, false) },
+		ClearMapping: fs.clearMapping,
+		Entries:      ck.entries, PutEntry: putEntry, AddEntry: ck.addEntry,
+		Inodes: ck.inodes, ZeroInode: ck.zeroInode,
+		GroupState: ck.groupState,
+		Walked:     ck.checkIndexes, Applied: ck.dropIndexes,
+		Rebuilt: ck.rebuildIndexes, Verified: ck.markVerified,
+	}, repair)
 }
 
-// runWalk claims the metadata blocks, walks the namespace from the
-// root, and cross-checks the allocation state, filling r and returning
-// the walk state (used set + collected fixes).
-func runWalk(fs *FS, r *fsck.Report) (*checkState, error) {
-	sh := newCheckState(fs, r)
-	sh.claim(0, "superblock")
-	for b := int64(1); b <= mapBlocks; b++ {
-		sh.claim(b, "inode map")
-	}
-	for ag := 0; ag < fs.sb.NAG; ag++ {
-		sh.claim(fs.sb.agStart(ag), fmt.Sprintf("ag %d header", ag))
-	}
-	for fb := 0; fb < fs.sb.ExtBlocks; fb++ {
-		phys, _, err := fs.extLoc(fb * extInosPerBlock)
-		if err != nil {
-			return nil, err
-		}
-		sh.claim(phys, fmt.Sprintf("inode-file block %d", fb))
-	}
-	if err := sh.walkDir(RootIno, RootIno, "/"); err != nil {
-		return nil, err
-	}
-	sh.checkIndexes()
-	sh.finish()
-	return sh, nil
-}
-
-// checkIndexes verifies every directory index the walk queued. It runs
-// after the namespace walk so all file and metadata claims are in: an
-// index block that collides with real data loses, invalidating the
-// index rather than the file. A valid index's blocks are claimed so the
-// bitmap cross-check sees them; an invalid one's are left unclaimed for
-// the allocation rewrite to reclaim.
-func (s *checkState) checkIndexes() {
-	for _, ic := range s.idxChecks {
-		s.checkIndex(ic)
-	}
-}
-
-// checkIndex verifies one index against the slot population its walk
-// collected: a decodable root, bucket pointers in range, and an exact
-// bijection — every index entry names a live slot with the right hash,
-// every live slot appears exactly once, and the stored entry count
-// matches. Any failure schedules the index for drop-and-rebuild.
-func (s *checkState) checkIndex(ic idxCheck) {
-	fs := s.fs
-	bad := func(format string, args ...any) {
-		s.problem("%s: directory index: "+format, append([]any{ic.path}, args...)...)
-		s.fx.clearIdx[ic.dir] = true
-	}
-	if !fs.idxValidPhys(ic.root) {
-		bad("root block %d out of range", ic.root)
-		return
-	}
-	if s.has(ic.root) {
-		bad("root block %d belongs to %s", ic.root, s.used[ic.root])
-		return
-	}
-	rb, err := fs.c.Read(ic.root)
-	if err != nil {
-		bad("unreadable root block %d: %v", ic.root, err)
-		return
-	}
-	root, ok := layout.DecodeDirIndexRoot(rb.Data)
-	if !ok {
-		rb.Release()
-		bad("root block %d has no valid header", ic.root)
-		return
-	}
-	blocks := map[int64]bool{ic.root: true}
-	var bucketPhys []int64
-	for k := 0; k < int(root.NBuckets); k++ {
-		p := int64(layout.DirIndexBucketPtr(rb.Data, k))
-		if !fs.idxValidPhys(p) {
-			rb.Release()
-			bad("bucket %d points at block %d, out of range", k, p)
-			return
-		}
-		if s.has(p) {
-			rb.Release()
-			bad("bucket %d block %d belongs to %s", k, p, s.used[p])
-			return
-		}
-		if blocks[p] {
-			rb.Release()
-			bad("bucket %d block %d appears twice in the index", k, p)
-			return
-		}
-		blocks[p] = true
-		bucketPhys = append(bucketPhys, p)
-	}
-	rb.Release()
-	seen := make(map[uint32]bool)
-	count := uint32(0)
-	for k, p := range bucketPhys {
-		bb, err := fs.c.Read(p)
-		if err != nil {
-			bad("unreadable bucket %d (block %d): %v", k, p, err)
-			return
-		}
-		for j := 0; j < layout.DirIndexBucketEntries; j++ {
-			h, loc := layout.DirIndexEntry(bb.Data, j)
-			if loc == 0 {
-				continue
-			}
-			want, live := ic.slots[loc]
-			switch {
-			case !live:
-				bb.Release()
-				bad("entry for slot %d/%d names no live slot", idxLocBlock(loc), idxLocSlot(loc))
-				return
-			case seen[loc]:
-				bb.Release()
-				bad("slot %d/%d indexed twice", idxLocBlock(loc), idxLocSlot(loc))
-				return
-			case want != h:
-				bb.Release()
-				bad("slot %d/%d hashed %#x, index says %#x", idxLocBlock(loc), idxLocSlot(loc), want, h)
-				return
-			case uint32(k) != h%root.NBuckets:
-				bb.Release()
-				bad("slot %d/%d filed under bucket %d, hash says %d",
-					idxLocBlock(loc), idxLocSlot(loc), k, h%root.NBuckets)
-				return
-			}
-			seen[loc] = true
-			count++
-		}
-		bb.Release()
-	}
-	if int(count) != len(ic.slots) {
-		bad("%d slots live, %d indexed", len(ic.slots), count)
-		return
-	}
-	if count != root.NEntries {
-		bad("entry count %d, found %d", root.NEntries, count)
-		return
-	}
-	for p := range blocks {
-		s.claim(p, ic.path+" (dir index)")
-	}
-}
-
-// slotRef names one directory slot on disk, and the directory owning it
-// (whose index, if any, goes stale when the slot is cleared).
-type slotRef struct {
-	dir   vfs.Ino
-	block int64
-	slot  int
-}
-
-// Pointer-clear kinds: which pointer of an inode a fix cuts.
-const (
-	ptrData   = iota // the pointer resolving logical block lb
-	ptrIndir         // the inode's single-indirect pointer
-	ptrDIndir        // the inode's double-indirect pointer
-	ptrL2            // entry lb of the double-indirect block
-)
-
-// ptrRef names one block pointer reachable from an inode.
-type ptrRef struct {
-	ino  vfs.Ino
-	kind int
-	lb   int64
-}
-
-// dotFix regenerates a "." or ".." entry of a directory.
-type dotFix struct {
-	dir    vfs.Ino
-	name   string
-	target vfs.Ino
-}
-
-// fixes is the structural repair plan one walk collects.
-type fixes struct {
-	clearSlots []slotRef          // remove dangling/duplicate/corrupt entries
-	dots       []dotFix           // regenerate "." / ".."
-	nlink      map[vfs.Ino]uint16 // rewrite link counts from names found
-	nblocks    map[vfs.Ino]uint32 // rewrite block counts from blocks found
-	clearPtrs  []ptrRef           // cut bad or doubly-claimed block pointers
-	zeroExt    []int              // zero orphaned external inodes (by index)
-	clearIdx   map[vfs.Ino]bool   // drop directory indexes that failed verification
-}
-
-func newFixes() *fixes {
-	return &fixes{
-		nlink:    make(map[vfs.Ino]uint16),
-		nblocks:  make(map[vfs.Ino]uint32),
-		clearIdx: make(map[vfs.Ino]bool),
-	}
-}
-
-func (f *fixes) any() bool {
-	return len(f.clearSlots)+len(f.dots)+len(f.nlink)+len(f.nblocks)+
-		len(f.clearPtrs)+len(f.zeroExt)+len(f.clearIdx) > 0
+// checker carries the C-FFS side of a check: the methods behind the
+// fsck.Layout above, and the index state its hooks pass between the
+// engine's phases.
+type checker struct {
+	fs        *FS
+	idxChecks []idxCheck       // indexes the current walk queued for verification
+	rebuild   map[vfs.Ino]bool // indexes dropped by any pass, to rebuild at the end
 }
 
 // idxCheck is one directory index awaiting verification: the slot
@@ -333,433 +63,238 @@ func (f *fixes) any() bool {
 // must win any collision with a corrupt index pointer.
 type idxCheck struct {
 	dir   vfs.Ino
-	path  string
 	root  int64
 	slots map[uint32]uint32
 }
 
-// checkState carries the walk.
-type checkState struct {
-	fs         *FS
-	r          *fsck.Report
-	fx         *fixes
-	used       map[int64]string // block -> first owner description
-	extSeen    map[int]int      // external idx -> names found
-	extLink    map[int]int      // external idx -> on-disk nlink
-	visited    map[int]bool     // directories walked (by external idx)
-	idxChecks  []idxCheck       // indexes to verify once the walk is done
-	idxCleared map[vfs.Ino]bool // indexes dropped by applyFixes (rebuild later)
-}
-
-func newCheckState(fs *FS, r *fsck.Report) *checkState {
-	return &checkState{
-		fs:      fs,
-		r:       r,
-		fx:      newFixes(),
-		used:    make(map[int64]string),
-		extSeen: make(map[int]int),
-		extLink: make(map[int]int),
-		visited: make(map[int]bool),
+func (ck *checker) claimFixed(w *fsck.Walk) error {
+	fs := ck.fs
+	w.Claim(0, "superblock")
+	for b := int64(1); b <= mapBlocks; b++ {
+		w.Claim(b, "inode map")
 	}
-}
-
-func (s *checkState) problem(format string, args ...any) {
-	s.r.Problems = append(s.r.Problems, fmt.Sprintf(format, args...))
-}
-
-// claim records a block owner; it reports whether the claim was first.
-func (s *checkState) claim(block int64, owner string) bool {
-	if prev, ok := s.used[block]; ok {
-		s.problem("block %d claimed by both %s and %s", block, prev, owner)
-		return false
+	for ag := 0; ag < fs.sb.NAG; ag++ {
+		w.Claim(fs.sb.agStart(ag), fmt.Sprintf("ag %d header", ag))
 	}
-	s.used[block] = owner
-	return true
-}
-
-func (s *checkState) has(block int64) bool {
-	_, ok := s.used[block]
-	return ok
-}
-
-// walkDir checks one directory and recurses into subdirectories. The
-// caller (walkChild) has validated the inode for every directory except
-// the root, whose failures are unrepairable by construction.
-func (s *checkState) walkDir(dir, parent vfs.Ino, path string) error {
-	idx := extIdx(dir)
-	s.visited[idx] = true
-	s.r.Dirs++
-
-	in, err := s.fs.getInode(dir)
-	if err != nil {
-		s.problem("%s: unreadable inode: %v", path, err)
-		return nil
-	}
-	if in.Type != vfs.TypeDir {
-		s.problem("%s: not a directory (type %v)", path, in.Type)
-		return nil
-	}
-	s.extLink[idx] = int(in.Nlink)
-	s.claimFileBlocks(&in, dir, path)
-
-	var dotOK, dotdotOK bool
-	var subs []slotEntry
-	locs := make(map[uint32]uint32)
-	_, err = s.fs.forEachSlot(&in, dir, func(_ *cache.Buf, e slotEntry, used bool) bool {
-		if !used {
-			return false
-		}
-		if e.block < 1<<28 {
-			locs[idxLoc(e.block, e.slot)] = layout.DirNameHash(e.name)
-		}
-		switch string(e.name) {
-		case ".":
-			dotOK = !e.embedded && e.ref == uint32(dir)
-		case "..":
-			dotdotOK = !e.embedded && e.ref == uint32(parent)
-		default:
-			if e.ftype == vfs.TypeDir && !e.embedded {
-				// Recursed into after the scan, once the block is
-				// unpinned: the name must be a copy by then.
-				sub := e
-				sub.name = append([]byte(nil), e.name...)
-				subs = append(subs, sub)
-			}
-			s.checkEntry(dir, e, path)
-		}
-		return false
-	})
-	if err != nil {
-		s.problem("%s: walk failed: %v", path, err)
-		return nil
-	}
-	if root := int64(in.DirIndexRootPtr()); root != 0 {
-		s.idxChecks = append(s.idxChecks, idxCheck{dir: dir, path: path, root: root, slots: locs})
-	}
-	if !dotOK {
-		s.problem("%s: bad or missing \".\"", path)
-		s.fx.dots = append(s.fx.dots, dotFix{dir: dir, name: ".", target: dir})
-	}
-	if !dotdotOK {
-		s.problem("%s: bad or missing \"..\"", path)
-		s.fx.dots = append(s.fx.dots, dotFix{dir: dir, name: "..", target: parent})
-	}
-	// Recurse after the slot scan so buffers are not pinned during it.
-	nsub := 0
-	for _, e := range subs {
-		ok, err := s.walkChild(e, dir, path)
+	for fb := 0; fb < fs.sb.ExtBlocks; fb++ {
+		phys, _, err := fs.extLoc(fb * extInosPerBlock)
 		if err != nil {
 			return err
 		}
-		if ok {
-			nsub++
-		}
-	}
-	if int(in.Nlink) != 2+nsub {
-		s.problem("%s: nlink %d, expected %d", path, in.Nlink, 2+nsub)
-		s.fx.nlink[dir] = uint16(2 + nsub)
+		w.Claim(phys, fmt.Sprintf("inode-file block %d", fb))
 	}
 	return nil
 }
 
-// walkChild validates one subdirectory entry and recurses into it. It
-// reports whether the entry counts as a live subdirectory (for the
-// parent's link count); a false return means the entry was scheduled
-// for removal.
-func (s *checkState) walkChild(e slotEntry, parent vfs.Ino, path string) (bool, error) {
-	name := path + string(e.name)
-	ino := e.ino()
-	idx := extIdx(ino)
-	if s.visited[idx] {
-		s.problem("%s: second name for directory inode %d", name, idx)
-		s.fx.clearSlots = append(s.fx.clearSlots, slotRef{parent, e.block, e.slot})
-		return false, nil
+// entries decodes a directory's used slots. For an indexed directory it
+// also queues the slot population for checkIndexes.
+func (ck *checker) entries(in *layout.Inode, dir vfs.Ino, fn func(fsck.Entry)) error {
+	root := int64(in.DirIndexRootPtr())
+	locs := make(map[uint32]uint32)
+	_, err := ck.fs.forEachSlot(in, dir, func(_ *cache.Buf, e slotEntry, used bool) bool {
+		if !used {
+			return false
+		}
+		if root != 0 && e.block < 1<<28 {
+			locs[idxLoc(e.block, e.slot)] = layout.DirNameHash(e.name)
+		}
+		fn(fsck.Entry{Name: string(e.name), Ino: e.ino(), Type: e.ftype, Embedded: e.embedded,
+			Loc: fsck.Loc{Block: e.block, Off: e.slot * slotSize, Len: slotSize}})
+		return false
+	})
+	if err == nil && root != 0 {
+		ck.idxChecks = append(ck.idxChecks, idxCheck{dir: dir, root: root, slots: locs})
 	}
-	in, err := s.fs.getInode(ino)
-	if err != nil || !in.Alive() {
-		s.problem("%s: dangling directory entry (inode %d)", name, idx)
-		s.fx.clearSlots = append(s.fx.clearSlots, slotRef{parent, e.block, e.slot})
-		return false, nil
-	}
-	if in.Type != vfs.TypeDir {
-		s.problem("%s: entry says directory, inode %d says type %v", name, idx, in.Type)
-		s.fx.clearSlots = append(s.fx.clearSlots, slotRef{parent, e.block, e.slot})
-		return false, nil
-	}
-	return true, s.walkDir(ino, parent, name+"/")
+	return err
 }
 
-// checkEntry validates one live non-dot entry (for directories, only
-// the reference count here — the recursion is walkChild's).
-func (s *checkState) checkEntry(dir vfs.Ino, e slotEntry, path string) {
-	name := path + string(e.name)
-	if e.embedded {
-		ino := e.ino()
-		in, err := s.fs.getInode(ino)
-		if err != nil || !in.Alive() {
-			s.problem("%s: unreadable embedded inode", name)
-			s.fx.clearSlots = append(s.fx.clearSlots, slotRef{dir, e.block, e.slot})
-			return
-		}
-		if in.Type != vfs.TypeReg {
-			s.problem("%s: embedded inode of type %v", name, in.Type)
-			s.fx.clearSlots = append(s.fx.clearSlots, slotRef{dir, e.block, e.slot})
-			return
-		}
-		if in.Nlink != 1 {
-			s.problem("%s: embedded inode with nlink %d", name, in.Nlink)
-			s.fx.nlink[ino] = 1
-		}
-		s.r.Files++
-		s.claimFileBlocks(&in, ino, name)
-		return
+// putEntry overwrites one slot: an external-reference entry, or zeros.
+func putEntry(block []byte, l fsck.Loc, name string, target vfs.Ino) {
+	if target == 0 {
+		clearSlot(block, l.Off)
+	} else {
+		writeSlotExternal(block, l.Off, name, target, vfs.TypeDir)
 	}
-	idx := int(e.ref) - 1
-	s.extSeen[idx]++
-	if e.ftype == vfs.TypeDir {
-		return // walked by walkChild
-	}
-	if s.extSeen[idx] > 1 {
-		return // blocks already claimed via the first name
-	}
-	in, err := s.fs.getInode(vfs.Ino(e.ref))
-	if err != nil || !in.Alive() {
-		s.problem("%s: dangling external inode %d", name, e.ref)
-		s.fx.clearSlots = append(s.fx.clearSlots, slotRef{dir, e.block, e.slot})
-		s.extSeen[idx]-- // removal: the name no longer counts toward nlink
-		return
-	}
-	s.extLink[idx] = int(in.Nlink)
-	s.r.Files++
-	s.claimFileBlocks(&in, vfs.Ino(e.ref), name)
 }
 
-// claimFileBlocks claims every block reachable from an inode. A block
-// that is out of range or already claimed gets its pointer scheduled
-// for clearing — first claimant wins, as in classic fsck — and only
-// surviving claims count toward the inode's block count.
-func (s *checkState) claimFileBlocks(in *layout.Inode, ino vfs.Ino, name string) {
-	nblocks := (in.Size + blockio.BlockSize - 1) / blockio.BlockSize
-	counted := uint32(0)
-	for lb := int64(0); lb < nblocks; lb++ {
-		phys, err := s.fs.bmap(in, ino, lb, false)
-		if err != nil {
-			s.problem("%s: bmap(%d): %v", name, lb, err)
-			s.fx.clearPtrs = append(s.fx.clearPtrs, ptrRef{ino: ino, kind: ptrData, lb: lb})
-			continue
-		}
-		if phys == 0 {
-			continue
-		}
-		if phys <= 0 || phys >= s.fs.sb.NBlocks {
-			s.problem("%s: block %d of %d is outside the volume", name, phys, lb)
-			s.fx.clearPtrs = append(s.fx.clearPtrs, ptrRef{ino: ino, kind: ptrData, lb: lb})
-			continue
-		}
-		if s.claim(phys, name) {
-			counted++
-		} else {
-			s.fx.clearPtrs = append(s.fx.clearPtrs, ptrRef{ino: ino, kind: ptrData, lb: lb})
-		}
+// addEntry writes a directory reference into a free slot.
+func (ck *checker) addEntry(in *layout.Inode, dir vfs.Ino, name string, target vfs.Ino) error {
+	fs := ck.fs
+	b, free, err := fs.dirFindFree(in, dir)
+	if err != nil {
+		return err
 	}
-	if in.Indir != 0 {
-		if int64(in.Indir) >= s.fs.sb.NBlocks || !s.claim(int64(in.Indir), name+" (indirect)") {
-			if int64(in.Indir) >= s.fs.sb.NBlocks {
-				s.problem("%s: indirect block %d is outside the volume", name, in.Indir)
-			}
-			s.fx.clearPtrs = append(s.fx.clearPtrs, ptrRef{ino: ino, kind: ptrIndir})
-		} else {
-			counted++
-		}
+	defer b.Release()
+	if err := fs.putInode(dir, in, false); err != nil {
+		return err
 	}
-	if in.DIndir != 0 {
-		if int64(in.DIndir) >= s.fs.sb.NBlocks || !s.claim(int64(in.DIndir), name+" (double indirect)") {
-			if int64(in.DIndir) >= s.fs.sb.NBlocks {
-				s.problem("%s: double-indirect block %d is outside the volume", name, in.DIndir)
-			}
-			s.fx.clearPtrs = append(s.fx.clearPtrs, ptrRef{ino: ino, kind: ptrDIndir})
-		} else {
-			counted++
-			db, err := s.fs.c.Read(int64(in.DIndir))
-			if err == nil {
-				le := leBytes{db.Data}
-				for k := 0; k < layout.PtrsPerBlock; k++ {
-					p := le.u32(k * 4)
-					if p == 0 {
-						continue
-					}
-					if int64(p) >= s.fs.sb.NBlocks || !s.claim(int64(p), name+" (indirect level 2)") {
-						s.fx.clearPtrs = append(s.fx.clearPtrs, ptrRef{ino: ino, kind: ptrL2, lb: int64(k)})
-					} else {
-						counted++
-					}
+	writeSlotExternal(b.Data, free.slot*slotSize, name, target, vfs.TypeDir)
+	fs.c.MarkDirty(b)
+	return nil
+}
+
+// inodes enumerates the inode file. Liveness is the in-memory map the
+// mount built by scanning that file, so the check reads nothing twice.
+func (ck *checker) inodes(fn func(ino vfs.Ino, alive bool)) {
+	for idx := 0; idx < ck.fs.sb.ExtBlocks*extInosPerBlock; idx++ {
+		fn(vfs.Ino(idx+1), ck.fs.extFree[idx/64]&(1<<(idx%64)) != 0)
+	}
+}
+
+func (ck *checker) zeroInode(ino vfs.Ino) error {
+	ck.fs.freeExtInode(extIdx(ino))
+	return ck.fs.putInode(ino, &layout.Inode{}, false)
+}
+
+// groupState checks — or with rewrite set rebuilds — the group
+// descriptors of one allocation group: used bits only on referenced
+// blocks, no owner without blocks and no blocks without owner.
+func (ck *checker) groupState(ag int, hdr *cache.Buf, w *fsck.Walk, rewrite bool) int {
+	fs, n := ck.fs, 0
+	for k := 0; k < fs.sb.groupsPerAG(); k++ {
+		d := readDesc(hdr, k)
+		start := fs.sb.groupBase(ag) + int64(k)*GroupBlocks
+		fixed := d
+		for i := 0; i < GroupBlocks; i++ {
+			if d.Used&(1<<i) != 0 && w.Owner(start+int64(i)) == "" {
+				fixed.Used &^= 1 << i
+				if !rewrite && d.Owner != 0 {
+					w.Problemf("ag %d group %d: grouped block %d unreferenced", ag, k, start+int64(i))
 				}
-				db.Release()
 			}
 		}
-	}
-	if counted != in.NBlocks {
-		s.problem("%s: NBlocks %d, found %d", name, in.NBlocks, counted)
-		s.fx.nblocks[ino] = counted
-	}
-}
-
-// finish compares the rebuilt state against the on-disk bitmaps, group
-// descriptors, and external inode liveness.
-func (s *checkState) finish() {
-	fs, r := s.fs, s.r
-	// External inode liveness vs names found.
-	for idx := 0; idx < fs.sb.ExtBlocks*extInosPerBlock; idx++ {
-		live := fs.extFree[idx/64]&(1<<(idx%64)) != 0
-		seen := s.extSeen[idx] > 0 || s.visited[idx]
+		if fixed.Used == 0 {
+			fixed.Owner = 0
+		}
 		switch {
-		case live && !seen:
-			r.Problems = append(r.Problems, fmt.Sprintf("orphan external inode %d", idx))
-			s.fx.zeroExt = append(s.fx.zeroExt, idx)
-		case !live && seen:
-			// The dangling entries themselves were scheduled for
-			// clearing where they were found.
-			r.Problems = append(r.Problems, fmt.Sprintf("referenced external inode %d is dead", idx))
-		}
-		if seen && !s.visited[idx] {
-			if want, got := s.extSeen[idx], s.extLink[idx]; want != got {
-				r.Problems = append(r.Problems,
-					fmt.Sprintf("external inode %d: nlink %d, found %d names", idx, got, want))
-				s.fx.nlink[vfs.Ino(idx+1)] = uint16(want)
-			}
+		case rewrite && fixed != d:
+			writeDesc(hdr, k, fixed)
+			n++
+		case rewrite:
+		case d.Owner == 0 && d.Used != 0:
+			w.Problemf("ag %d group %d: used bits without owner", ag, k)
+		case d.Owner != 0 && d.Used == 0:
+			w.Problemf("ag %d group %d: empty group still owned", ag, k)
 		}
 	}
-	// Bitmaps and group descriptors.
-	for ag := 0; ag < fs.sb.NAG; ag++ {
-		hdr, err := fs.c.Read(fs.sb.agStart(ag))
-		if err != nil {
-			r.Problems = append(r.Problems, fmt.Sprintf("ag %d: unreadable header: %v", ag, err))
-			continue
-		}
-		bm := fs.blockBitmap(hdr)
-		for i := 0; i < fs.sb.AGBlocks; i++ {
-			phys := fs.sb.agStart(ag) + int64(i)
-			if phys >= fs.sb.NBlocks {
-				break
-			}
-			inUse := s.has(phys)
-			marked := bm.IsSet(i)
-			if inUse && !marked {
-				r.Problems = append(r.Problems, fmt.Sprintf("block %d in use but free in bitmap", phys))
-			}
-			if !inUse && marked {
-				r.Problems = append(r.Problems, fmt.Sprintf("block %d lost (marked but unreferenced)", phys))
-			}
-		}
-		for k := 0; k < fs.sb.groupsPerAG(); k++ {
-			d := readDesc(hdr, k)
-			if d.Owner == 0 && d.Used != 0 {
-				r.Problems = append(r.Problems, fmt.Sprintf("ag %d group %d: used bits without owner", ag, k))
-				continue
-			}
-			if d.Owner != 0 && d.Used == 0 {
-				r.Problems = append(r.Problems, fmt.Sprintf("ag %d group %d: empty group still owned", ag, k))
-			}
-			start := fs.sb.groupBase(ag) + int64(k)*GroupBlocks
-			for i := 0; i < GroupBlocks; i++ {
-				if d.Used&(1<<i) != 0 && !s.has(start+int64(i)) {
-					r.Problems = append(r.Problems,
-						fmt.Sprintf("ag %d group %d: grouped block %d unreferenced", ag, k, start+int64(i)))
-				}
-			}
-		}
-		hdr.Release()
-	}
+	return n
 }
 
-// applyFixes executes the structural repair plan the walk collected and
-// syncs the image. It returns the number of repairs applied.
-func (s *checkState) applyFixes() (int, error) {
-	fs, n := s.fs, 0
-	for _, sr := range s.fx.clearSlots {
-		b, err := fs.c.Read(sr.block)
+// checkIndexes (the Walked hook) verifies every directory index the walk
+// queued. It runs after the namespace walk so all file and metadata
+// claims are in: an index block that collides with real data loses,
+// invalidating the index rather than the file. A valid index's blocks
+// are claimed so the bitmap cross-check sees them; an invalid one's are
+// left unclaimed for the allocation rewrite to reclaim, and its
+// directory is flagged for drop-and-rebuild.
+func (ck *checker) checkIndexes(w *fsck.Walk) {
+	for _, ic := range ck.idxChecks {
+		path := w.DirPath(ic.dir)
+		blocks, err := ck.verifyIndex(w, ic)
 		if err != nil {
-			return n, err
+			w.FlagDir(ic.dir, "%s: directory index: %v", path, err)
 		}
-		clearSlot(b.Data, sr.slot*slotSize)
-		fs.c.MarkDirty(b)
-		b.Release()
-		n++
-	}
-	for _, df := range s.fx.dots {
-		ok, err := s.fixDot(df)
-		if err != nil {
-			return n, err
-		}
-		if ok {
-			n++
+		for _, p := range blocks {
+			w.Claim(p, path+" (dir index)")
 		}
 	}
-	for _, pr := range s.fx.clearPtrs {
-		ok, err := s.clearPtr(pr)
-		if err != nil {
-			return n, err
+	ck.idxChecks = nil
+}
+
+// verifyIndex returns the index's blocks (root first), or what is wrong
+// with it: the root must decode, every bucket pointer be in range and
+// unclaimed, and the entries form an exact bijection — every index entry
+// names a live slot with the right hash in the right bucket, every live
+// slot appears exactly once, and the stored entry count matches.
+func (ck *checker) verifyIndex(w *fsck.Walk, ic idxCheck) ([]int64, error) {
+	fs := ck.fs
+	blocks := []int64{ic.root}
+	free := func(what string, p int64) error {
+		switch {
+		case !fs.idxValidPhys(p):
+			return fmt.Errorf("%s block %d out of range", what, p)
+		case w.Owner(p) != "":
+			return fmt.Errorf("%s block %d belongs to %s", what, p, w.Owner(p))
 		}
-		if ok {
-			n++
+		return nil
+	}
+	if err := free("root", ic.root); err != nil {
+		return nil, err
+	}
+	rb, err := fs.c.Read(ic.root)
+	if err != nil {
+		return nil, fmt.Errorf("unreadable root block %d: %v", ic.root, err)
+	}
+	defer rb.Release()
+	root, ok := layout.DecodeDirIndexRoot(rb.Data)
+	if !ok {
+		return nil, fmt.Errorf("root block %d has no valid header", ic.root)
+	}
+	for k := 0; k < int(root.NBuckets); k++ {
+		p := int64(layout.DirIndexBucketPtr(rb.Data, k))
+		if err := free(fmt.Sprintf("bucket %d", k), p); err != nil {
+			return nil, err
+		}
+		for _, q := range blocks {
+			if p == q {
+				return nil, fmt.Errorf("bucket %d block %d appears twice in the index", k, p)
+			}
+		}
+		blocks = append(blocks, p)
+	}
+	seen := make(map[uint32]bool)
+	for k, p := range blocks[1:] {
+		bb, err := fs.c.Read(p)
+		if err != nil {
+			return nil, fmt.Errorf("unreadable bucket %d (block %d): %v", k, p, err)
+		}
+		err = verifyBucket(bb.Data, ic.slots, k, root.NBuckets, seen)
+		bb.Release()
+		if err != nil {
+			return nil, err
 		}
 	}
-	for ino, v := range s.fx.nlink {
-		in, err := fs.getInode(ino)
-		if err != nil {
-			continue // the holder may have been cleared above
-		}
-		in.Nlink = v
-		if err := fs.putInode(ino, &in, false); err != nil {
-			return n, err
-		}
-		n++
+	if len(seen) != len(ic.slots) {
+		return nil, fmt.Errorf("%d slots live, %d indexed", len(ic.slots), len(seen))
 	}
-	for ino, v := range s.fx.nblocks {
-		in, err := fs.getInode(ino)
-		if err != nil {
+	if uint32(len(seen)) != root.NEntries {
+		return nil, fmt.Errorf("entry count %d, found %d", root.NEntries, len(seen))
+	}
+	return blocks, nil
+}
+
+// verifyBucket checks the entries of bucket k of n against the live
+// slots, adding each to seen.
+func verifyBucket(bucket []byte, slots map[uint32]uint32, k int, n uint32, seen map[uint32]bool) error {
+	for j := 0; j < layout.DirIndexBucketEntries; j++ {
+		h, loc := layout.DirIndexEntry(bucket, j)
+		if loc == 0 {
 			continue
 		}
-		in.NBlocks = v
-		if err := fs.putInode(ino, &in, false); err != nil {
-			return n, err
+		blk, slot := idxLocBlock(loc), idxLocSlot(loc)
+		switch want, live := slots[loc]; {
+		case !live:
+			return fmt.Errorf("entry for slot %d/%d names no live slot", blk, slot)
+		case seen[loc]:
+			return fmt.Errorf("slot %d/%d indexed twice", blk, slot)
+		case want != h:
+			return fmt.Errorf("slot %d/%d hashed %#x, index says %#x", blk, slot, want, h)
+		case uint32(k) != h%n:
+			return fmt.Errorf("slot %d/%d filed under bucket %d, hash says %d", blk, slot, k, h%n)
 		}
-		n++
+		seen[loc] = true
 	}
-	for _, idx := range s.fx.zeroExt {
-		phys, slot, err := fs.extLoc(idx)
-		if err != nil {
-			continue
-		}
-		b, err := fs.c.Read(phys)
-		if err != nil {
-			return n, err
-		}
-		for i := 0; i < layout.InodeSize; i++ {
-			b.Data[slot*layout.InodeSize+i] = 0
-		}
-		fs.c.MarkDirty(b)
-		b.Release()
-		fs.freeExtInode(idx)
-		n++
-	}
-	// Index drops: every index that failed verification, plus every
-	// index over a directory whose slots were just repaired (the repair
-	// made it stale). Only the root pointer is cut — the orphaned
-	// blocks fall out of the used set and the allocation rewrite
-	// reclaims them. Check rebuilds these after that rewrite.
-	idxDirty := make(map[vfs.Ino]bool)
-	for d := range s.fx.clearIdx {
-		idxDirty[d] = true
-	}
-	for _, sr := range s.fx.clearSlots {
-		idxDirty[sr.dir] = true
-	}
-	for _, df := range s.fx.dots {
-		idxDirty[df.dir] = true
-	}
-	s.idxCleared = make(map[vfs.Ino]bool)
-	for d := range idxDirty {
+	return nil
+}
+
+// dropIndexes (the Applied hook) drops every index that failed
+// verification and every index over a directory whose slots the plan
+// just repaired (the repair made it stale). Only the root pointer is
+// cut — the orphaned blocks fall out of the claim set and the allocation
+// rewrite reclaims them.
+func (ck *checker) dropIndexes(dirs map[vfs.Ino]bool) (int, error) {
+	fs, n := ck.fs, 0
+	for d := range dirs {
 		in, err := fs.getInode(d)
 		if err != nil || in.Type != vfs.TypeDir || in.DirIndexRootPtr() == 0 {
 			continue
@@ -768,155 +303,46 @@ func (s *checkState) applyFixes() (int, error) {
 		if err := fs.putInode(d, &in, false); err != nil {
 			return n, err
 		}
-		s.idxCleared[d] = true
+		ck.rebuild[d] = true
 		n++
 	}
-	return n, fs.c.Sync()
+	return n, nil
 }
 
-// fixDot regenerates a "." or ".." entry: rewritten in place when a
-// slot with that name exists, otherwise written into a free slot.
-func (s *checkState) fixDot(df dotFix) (bool, error) {
-	fs := s.fs
-	in, err := fs.getInode(df.dir)
-	if err != nil || in.Type != vfs.TypeDir {
-		return false, nil
-	}
-	var off int
-	b, err := fs.forEachSlot(&in, df.dir, func(_ *cache.Buf, e slotEntry, used bool) bool {
-		if used && string(e.name) == df.name {
-			off = e.slot * slotSize
-			return true
+// rebuildIndexes (the Rebuilt hook) rebuilds the dropped indexes, only
+// now: building earlier would allocate from bitmaps the walk had not yet
+// proven (or repaired), risking live blocks. Directories that no longer
+// clear the size threshold stay linear — the runtime rebuilds them if
+// they grow again.
+func (ck *checker) rebuildIndexes() (int, error) {
+	fs, n := ck.fs, 0
+	for d := range ck.rebuild {
+		in, err := fs.getInode(d)
+		if err != nil || in.Type != vfs.TypeDir || in.DirIndexRootPtr() != 0 {
+			continue
 		}
-		return false
-	})
-	if err != nil {
-		return false, nil
-	}
-	if b == nil {
-		var free slotEntry
-		b, free, err = fs.dirFindFree(&in, df.dir)
-		if err != nil {
-			return false, err
+		if in.Size/blockio.BlockSize <= dirIndexMinBlocks {
+			continue
 		}
-		off = free.slot * slotSize
-		if err := fs.putInode(df.dir, &in, false); err != nil {
-			b.Release()
-			return false, err
-		}
-	}
-	writeSlotExternal(b.Data, off, df.name, df.target, vfs.TypeDir)
-	fs.c.MarkDirty(b)
-	b.Release()
-	return true, nil
-}
-
-// clearPtr cuts one block pointer of an inode. The freed block's bitmap
-// state is corrected later by the allocation rebuild.
-func (s *checkState) clearPtr(pr ptrRef) (bool, error) {
-	fs := s.fs
-	in, err := fs.getInode(pr.ino)
-	if err != nil {
-		return false, nil
-	}
-	switch pr.kind {
-	case ptrIndir:
-		in.Indir = 0
-		return true, fs.putInode(pr.ino, &in, false)
-	case ptrDIndir:
-		in.DIndir = 0
-		return true, fs.putInode(pr.ino, &in, false)
-	case ptrL2:
-		if in.DIndir == 0 {
-			return false, nil
-		}
-		return s.zeroPtrInBlock(int64(in.DIndir), int(pr.lb))
-	}
-	// ptrData: resolve which pointer holds logical block pr.lb.
-	lb := pr.lb
-	if lb < layout.NDirect {
-		in.Direct[lb] = 0
-		return true, fs.putInode(pr.ino, &in, false)
-	}
-	rel := lb - layout.NDirect
-	if rel < layout.PtrsPerBlock {
-		if in.Indir == 0 {
-			return false, nil
-		}
-		return s.zeroPtrInBlock(int64(in.Indir), int(rel))
-	}
-	rel -= layout.PtrsPerBlock
-	if in.DIndir == 0 {
-		return false, nil
-	}
-	db, err := fs.c.Read(int64(in.DIndir))
-	if err != nil {
-		return false, nil
-	}
-	l2 := leBytes{db.Data}.u32(int(rel/layout.PtrsPerBlock) * 4)
-	db.Release()
-	if l2 == 0 {
-		return false, nil
-	}
-	return s.zeroPtrInBlock(int64(l2), int(rel%layout.PtrsPerBlock))
-}
-
-// zeroPtrInBlock zeroes the kth u32 of a pointer block.
-func (s *checkState) zeroPtrInBlock(block int64, k int) (bool, error) {
-	b, err := s.fs.c.Read(block)
-	if err != nil {
-		return false, nil
-	}
-	leBytes{b.Data}.pu32(k*4, 0)
-	s.fs.c.MarkDirty(b)
-	b.Release()
-	return true, nil
-}
-
-// rewriteAlloc rebuilds bitmaps and group descriptors from the walk's
-// used set and syncs the image. It returns the number of corrections.
-func (s *checkState) rewriteAlloc() (int, error) {
-	fs, n := s.fs, 0
-	for ag := 0; ag < fs.sb.NAG; ag++ {
-		hdr, err := fs.c.Read(fs.sb.agStart(ag))
-		if err != nil {
+		if err := fs.idxBuild(&in, d, 0); err != nil {
 			return n, err
 		}
-		bm := fs.blockBitmap(hdr)
-		for i := 0; i < fs.sb.AGBlocks; i++ {
-			phys := fs.sb.agStart(ag) + int64(i)
-			if phys >= fs.sb.NBlocks {
-				break
-			}
-			if s.has(phys) != bm.IsSet(i) {
-				if s.has(phys) {
-					bm.Set(i)
-				} else {
-					bm.Clear(i)
-				}
-				n++
-			}
-		}
-		// Drop group state not backed by referenced blocks.
-		for k := 0; k < fs.sb.groupsPerAG(); k++ {
-			d := readDesc(hdr, k)
-			start := fs.sb.groupBase(ag) + int64(k)*GroupBlocks
-			fixed := d
-			for i := 0; i < GroupBlocks; i++ {
-				if d.Used&(1<<i) != 0 && !s.has(start+int64(i)) {
-					fixed.Used &^= 1 << i
-				}
-			}
-			if fixed.Used == 0 {
-				fixed.Owner = 0
-			}
-			if fixed != d {
-				writeDesc(hdr, k, fixed)
-				n++
-			}
-		}
-		fs.c.MarkDirty(hdr)
-		hdr.Release()
+		n++
+	}
+	if n == 0 {
+		return 0, nil
 	}
 	return n, fs.c.Sync()
+}
+
+// markVerified (the Verified hook): the image now verifies end to end,
+// indexes included, so the unclean marker can come off — the next mount
+// may trust what fsck just proved.
+func (ck *checker) markVerified() (int, error) {
+	fs := ck.fs
+	if !fs.sb.Dirty {
+		return 0, nil
+	}
+	fs.dirtyMarked = true
+	return 1, fs.markClean()
 }

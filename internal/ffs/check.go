@@ -10,549 +10,108 @@ import (
 	"cffs/internal/vfs"
 )
 
-// Check is the offline consistency checker for baseline FFS images
-// (the classic FSCK role [McKusick94]): it walks the namespace from the
-// root, rebuilds block and inode bitmaps, and verifies link counts and
-// directory structure.
-//
-// With repair set, Check follows the same recovery discipline as the
-// C-FFS checker: structural fixes (dangling entries cleared, orphan
-// inodes zeroed, bad pointers cut, link/block counts and "."/".."
-// rewritten) are applied and the walk repeated until stable, then the
-// bitmaps are rebuilt from the repaired namespace and a verification
-// walk classifies anything left as unrepairable.
+// Check is the offline consistency checker for baseline FFS images (the
+// classic FSCK role [McKusick94]). The algorithm is fsck.Run's, the same
+// one the C-FFS checker runs; this file supplies the FFS format: inodes
+// at static table locations, variable-length directory records, and an
+// inode bitmap beside each cylinder group's block bitmap.
 func Check(dev *blockio.Device, repair bool) (*fsck.Report, error) {
 	fs, err := Mount(dev, Options{})
 	if err != nil {
 		return nil, err
 	}
-	r := &fsck.Report{FS: "ffs"}
-	s, err := runFFSWalk(fs, r)
-	if err != nil {
-		return nil, err
-	}
-	if !repair || r.Clean() {
-		r.UsedBlocks = len(s.used)
-		return r, nil
-	}
-	cur := s
-	for pass := 0; pass < 4 && cur.fx.any(); pass++ {
-		n, err := cur.applyFixes()
-		if err != nil {
-			return nil, err
+	ck := checker{fs}
+	return fsck.Run(&fsck.Layout{
+		FS: "ffs", Cache: fs.c, Root: RootIno,
+		Blocks: fs.sb.NBlocks, Groups: fs.sb.NCG, GroupStart: fs.sb.cgStart(0),
+		GroupBlocks: fs.sb.CGBlocks, BitmapOff: cgBmapOff,
+		ClaimFixed:   ck.claimFixed,
+		GetInode:     fs.getInode,
+		PutInode:     func(ino vfs.Ino, in *layout.Inode) error { return fs.putInode(ino, in, false) },
+		ClearMapping: fs.clearMapping,
+		Entries:      ck.entries, PutEntry: putEntry, AddEntry: ck.addEntry,
+		Inodes:     ck.inodes,
+		ZeroInode:  func(ino vfs.Ino) error { return fs.putInode(ino, &layout.Inode{}, false) },
+		GroupState: ck.groupState,
+	}, repair)
+}
+
+// checker holds the methods behind the FFS fsck.Layout.
+type checker struct{ fs *FS }
+
+func (ck checker) claimFixed(w *fsck.Walk) error {
+	sb := &ck.fs.sb
+	w.Claim(0, "superblock")
+	for cg := 0; cg < sb.NCG; cg++ {
+		start := sb.cgStart(cg)
+		w.Claim(start, fmt.Sprintf("cg %d header", cg))
+		for b := int64(1); b <= int64(sb.inodeBlocksPerCG()); b++ {
+			w.Claim(start+b, fmt.Sprintf("cg %d inode table", cg))
 		}
-		r.RepairsMade += n
-		if cur, err = runFFSWalk(fs, &fsck.Report{}); err != nil {
-			return nil, err
-		}
-	}
-	n, err := cur.rewriteAlloc()
-	if err != nil {
-		return nil, err
-	}
-	r.RepairsMade += n
-	rv := &fsck.Report{}
-	v, err := runFFSWalk(fs, rv)
-	if err != nil {
-		return nil, err
-	}
-	r.Unrepairable = rv.Problems
-	r.UsedBlocks = len(v.used)
-	return r, nil
-}
-
-func runFFSWalk(fs *FS, r *fsck.Report) (*ffsCheck, error) {
-	s := &ffsCheck{
-		fs:      fs,
-		r:       r,
-		fx:      newFFSFixes(),
-		used:    make(map[int64]string),
-		inoSeen: make(map[vfs.Ino]int),
-		inoLink: make(map[vfs.Ino]int),
-		visited: make(map[vfs.Ino]bool),
-	}
-	s.claim(0, "superblock")
-	for cg := 0; cg < fs.sb.NCG; cg++ {
-		start := fs.sb.cgStart(cg)
-		s.claim(start, fmt.Sprintf("cg %d header", cg))
-		for b := int64(1); b <= int64(fs.sb.inodeBlocksPerCG()); b++ {
-			s.claim(start+b, fmt.Sprintf("cg %d inode table", cg))
-		}
-	}
-	if err := s.walkDir(RootIno, RootIno, "/"); err != nil {
-		return nil, err
-	}
-	s.finish()
-	return s, nil
-}
-
-// entRef names one directory record on disk.
-type entRef struct {
-	block  int64
-	off    int
-	reclen int
-}
-
-// Pointer-clear kinds, as in the C-FFS checker.
-const (
-	ffsPtrData = iota
-	ffsPtrIndir
-	ffsPtrDIndir
-	ffsPtrL2
-)
-
-type ffsPtrRef struct {
-	ino  vfs.Ino
-	kind int
-	lb   int64
-}
-
-type ffsDotFix struct {
-	dir    vfs.Ino
-	name   string
-	target vfs.Ino
-}
-
-type ffsFixes struct {
-	clearEnts []entRef
-	dots      []ffsDotFix
-	nlink     map[vfs.Ino]uint16
-	nblocks   map[vfs.Ino]uint32
-	clearPtrs []ffsPtrRef
-	zeroIno   []vfs.Ino
-}
-
-func newFFSFixes() *ffsFixes {
-	return &ffsFixes{nlink: make(map[vfs.Ino]uint16), nblocks: make(map[vfs.Ino]uint32)}
-}
-
-func (f *ffsFixes) any() bool {
-	return len(f.clearEnts)+len(f.dots)+len(f.nlink)+len(f.nblocks)+
-		len(f.clearPtrs)+len(f.zeroIno) > 0
-}
-
-type ffsCheck struct {
-	fs      *FS
-	r       *fsck.Report
-	fx      *ffsFixes
-	used    map[int64]string
-	inoSeen map[vfs.Ino]int
-	inoLink map[vfs.Ino]int
-	visited map[vfs.Ino]bool
-}
-
-func (s *ffsCheck) problem(format string, args ...any) {
-	s.r.Problems = append(s.r.Problems, fmt.Sprintf(format, args...))
-}
-
-// claim records a block owner; it reports whether the claim was first.
-func (s *ffsCheck) claim(block int64, owner string) bool {
-	if prev, ok := s.used[block]; ok {
-		s.problem("block %d claimed by both %s and %s", block, prev, owner)
-		return false
-	}
-	s.used[block] = owner
-	return true
-}
-
-// subRef is a subdirectory entry queued for recursion, with the record
-// location so a bad child can be cleared.
-type subRef struct {
-	name string
-	ino  vfs.Ino
-	ent  entRef
-}
-
-func (s *ffsCheck) walkDir(dir, parent vfs.Ino, path string) error {
-	s.visited[dir] = true
-	s.r.Dirs++
-	in, err := s.fs.getInode(dir)
-	if err != nil || in.Type != vfs.TypeDir {
-		s.problem("%s: bad directory inode %d", path, dir)
-		return nil
-	}
-	s.inoLink[dir] = int(in.Nlink)
-	s.claimFileBlocks(&in, dir, path)
-
-	var dotOK, dotdotOK bool
-	var subdirs []subRef
-	_, err = s.fs.forEachDirent(&in, dir, func(b *cache.Buf, e dirent) bool {
-		if e.ino == 0 {
-			return false
-		}
-		switch e.name {
-		case ".":
-			dotOK = vfs.Ino(e.ino) == dir
-		case "..":
-			dotdotOK = vfs.Ino(e.ino) == parent
-		default:
-			ino := vfs.Ino(e.ino)
-			s.inoSeen[ino]++
-			ref := entRef{block: b.Block, off: e.off, reclen: e.reclen}
-			if e.ftype == vfs.TypeDir {
-				subdirs = append(subdirs, subRef{name: e.name, ino: ino, ent: ref})
-			} else if s.inoSeen[ino] == 1 {
-				fin, err := s.fs.getInode(ino)
-				if err != nil || !fin.Alive() {
-					s.problem("%s%s: dangling inode %d", path, e.name, ino)
-					s.fx.clearEnts = append(s.fx.clearEnts, ref)
-					s.inoSeen[ino]--
-				} else {
-					s.inoLink[ino] = int(fin.Nlink)
-					s.r.Files++
-					s.claimFileBlocks(&fin, ino, path+e.name)
-				}
-			}
-		}
-		return false
-	})
-	if err != nil {
-		s.problem("%s: walk failed: %v", path, err)
-		return nil
-	}
-	if !dotOK {
-		s.problem("%s: bad or missing \".\"", path)
-		s.fx.dots = append(s.fx.dots, ffsDotFix{dir: dir, name: ".", target: dir})
-	}
-	if !dotdotOK {
-		s.problem("%s: bad or missing \"..\"", path)
-		s.fx.dots = append(s.fx.dots, ffsDotFix{dir: dir, name: "..", target: parent})
-	}
-	nsub := 0
-	for _, e := range subdirs {
-		name := path + e.name
-		if s.visited[e.ino] {
-			s.problem("%s: second name for directory inode %d", name, e.ino)
-			s.fx.clearEnts = append(s.fx.clearEnts, e.ent)
-			continue
-		}
-		cin, err := s.fs.getInode(e.ino)
-		if err != nil || !cin.Alive() || cin.Type != vfs.TypeDir {
-			s.problem("%s: dangling directory entry (inode %d)", name, e.ino)
-			s.fx.clearEnts = append(s.fx.clearEnts, e.ent)
-			continue
-		}
-		nsub++
-		if err := s.walkDir(e.ino, dir, name+"/"); err != nil {
-			return err
-		}
-	}
-	if int(in.Nlink) != 2+nsub {
-		s.problem("%s: nlink %d, expected %d", path, in.Nlink, 2+nsub)
-		s.fx.nlink[dir] = uint16(2 + nsub)
 	}
 	return nil
 }
 
-func (s *ffsCheck) claimFileBlocks(in *layout.Inode, ino vfs.Ino, name string) {
-	nblocks := (in.Size + blockio.BlockSize - 1) / blockio.BlockSize
-	counted := uint32(0)
-	for lb := int64(0); lb < nblocks; lb++ {
-		phys, err := s.fs.bmap(in, ino, lb, false)
-		if err != nil {
-			s.problem("%s: bmap(%d): %v", name, lb, err)
-			s.fx.clearPtrs = append(s.fx.clearPtrs, ffsPtrRef{ino: ino, kind: ffsPtrData, lb: lb})
-			continue
-		}
-		if phys == 0 {
-			continue
-		}
-		if phys >= s.fs.sb.NBlocks || !s.claim(phys, name) {
-			if phys >= s.fs.sb.NBlocks {
-				s.problem("%s: block %d of %d is outside the volume", name, phys, lb)
-			}
-			s.fx.clearPtrs = append(s.fx.clearPtrs, ffsPtrRef{ino: ino, kind: ffsPtrData, lb: lb})
-			continue
-		}
-		counted++
-	}
-	if in.Indir != 0 {
-		if int64(in.Indir) >= s.fs.sb.NBlocks || !s.claim(int64(in.Indir), name+" (indirect)") {
-			s.fx.clearPtrs = append(s.fx.clearPtrs, ffsPtrRef{ino: ino, kind: ffsPtrIndir})
-		} else {
-			counted++
-		}
-	}
-	if in.DIndir != 0 {
-		if int64(in.DIndir) >= s.fs.sb.NBlocks || !s.claim(int64(in.DIndir), name+" (double indirect)") {
-			s.fx.clearPtrs = append(s.fx.clearPtrs, ffsPtrRef{ino: ino, kind: ffsPtrDIndir})
-		} else {
-			counted++
-			db, err := s.fs.c.Read(int64(in.DIndir))
-			if err == nil {
-				le := leBytes{db.Data}
-				for k := 0; k < layout.PtrsPerBlock; k++ {
-					p := le.u32(k * 4)
-					if p == 0 {
-						continue
-					}
-					if int64(p) >= s.fs.sb.NBlocks || !s.claim(int64(p), name+" (indirect level 2)") {
-						s.fx.clearPtrs = append(s.fx.clearPtrs, ffsPtrRef{ino: ino, kind: ffsPtrL2, lb: int64(k)})
-					} else {
-						counted++
-					}
-				}
-				db.Release()
-			}
-		}
-	}
-	if counted != in.NBlocks {
-		s.problem("%s: NBlocks %d, found %d", name, in.NBlocks, counted)
-		s.fx.nblocks[ino] = counted
-	}
-}
-
-func (s *ffsCheck) finish() {
-	fs, r := s.fs, s.r
-	for ino := vfs.Ino(1); int64(ino) <= int64(fs.sb.NCG)*int64(fs.sb.InodesPerCG); ino++ {
-		in, err := fs.getInode(ino)
-		if err != nil {
-			continue
-		}
-		referenced := s.inoSeen[ino] > 0 || s.visited[ino]
-		if in.Alive() && !referenced {
-			r.Problems = append(r.Problems, fmt.Sprintf("orphan inode %d", ino))
-			s.fx.zeroIno = append(s.fx.zeroIno, ino)
-		}
-		if !in.Alive() && referenced {
-			r.Problems = append(r.Problems, fmt.Sprintf("referenced inode %d is dead", ino))
-		}
-		if referenced && !s.visited[ino] && s.inoSeen[ino] != s.inoLink[ino] {
-			r.Problems = append(r.Problems,
-				fmt.Sprintf("inode %d: nlink %d, found %d names", ino, s.inoLink[ino], s.inoSeen[ino]))
-			s.fx.nlink[ino] = uint16(s.inoSeen[ino])
-		}
-	}
-	for cg := 0; cg < fs.sb.NCG; cg++ {
-		hdr, err := fs.c.Read(fs.sb.cgStart(cg))
-		if err != nil {
-			r.Problems = append(r.Problems, fmt.Sprintf("cg %d: unreadable header: %v", cg, err))
-			continue
-		}
-		bm := fs.blockBitmap(hdr)
-		ibm := fs.inodeBitmap(hdr)
-		for i := 0; i < fs.sb.CGBlocks; i++ {
-			phys := fs.sb.cgStart(cg) + int64(i)
-			if phys >= fs.sb.NBlocks {
-				break
-			}
-			_, inUse := s.used[phys]
-			if inUse && !bm.IsSet(i) {
-				r.Problems = append(r.Problems, fmt.Sprintf("block %d in use but free in bitmap", phys))
-			}
-			if !inUse && bm.IsSet(i) {
-				r.Problems = append(r.Problems, fmt.Sprintf("block %d lost (marked but unreferenced)", phys))
-			}
-		}
-		for i := 0; i < fs.sb.InodesPerCG; i++ {
-			ino := vfs.Ino(cg*fs.sb.InodesPerCG + i + 1)
-			referenced := s.inoSeen[ino] > 0 || s.visited[ino]
-			if referenced != ibm.IsSet(i) {
-				r.Problems = append(r.Problems,
-					fmt.Sprintf("inode %d bitmap bit %v, reachability %v", ino, ibm.IsSet(i), referenced))
-			}
-		}
-		hdr.Release()
-	}
-}
-
-// applyFixes executes the structural repair plan and syncs the image.
-func (s *ffsCheck) applyFixes() (int, error) {
-	fs, n := s.fs, 0
-	for _, er := range s.fx.clearEnts {
-		b, err := fs.c.Read(er.block)
-		if err != nil {
-			return n, err
-		}
-		// Freeing in place (ino 0, reclen kept) is always valid; slack
-		// merging is an optimization the next dirAdd can redo.
-		encodeDirent(b.Data, er.off, 0, er.reclen, vfs.TypeInvalid, "")
-		fs.c.MarkDirty(b)
-		b.Release()
-		n++
-	}
-	for _, df := range s.fx.dots {
-		ok, err := s.fixDot(df)
-		if err != nil {
-			return n, err
-		}
-		if ok {
-			n++
-		}
-	}
-	for _, pr := range s.fx.clearPtrs {
-		ok, err := s.clearPtr(pr)
-		if err != nil {
-			return n, err
-		}
-		if ok {
-			n++
-		}
-	}
-	for ino, v := range s.fx.nlink {
-		in, err := fs.getInode(ino)
-		if err != nil {
-			continue
-		}
-		in.Nlink = v
-		if err := fs.putInode(ino, &in, false); err != nil {
-			return n, err
-		}
-		n++
-	}
-	for ino, v := range s.fx.nblocks {
-		in, err := fs.getInode(ino)
-		if err != nil {
-			continue
-		}
-		in.NBlocks = v
-		if err := fs.putInode(ino, &in, false); err != nil {
-			return n, err
-		}
-		n++
-	}
-	for _, ino := range s.fx.zeroIno {
-		var zero layout.Inode
-		if err := fs.putInode(ino, &zero, false); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, fs.c.Sync()
-}
-
-// fixDot rewrites a "." or ".." record in place, or inserts one when it
-// is missing entirely.
-func (s *ffsCheck) fixDot(df ffsDotFix) (bool, error) {
-	fs := s.fs
-	in, err := fs.getInode(df.dir)
-	if err != nil || in.Type != vfs.TypeDir {
-		return false, nil
-	}
-	var found dirent
-	b, err := fs.forEachDirent(&in, df.dir, func(_ *cache.Buf, e dirent) bool {
-		if e.ino != 0 && e.name == df.name {
-			found = e
-			return true
+func (ck checker) entries(in *layout.Inode, dir vfs.Ino, fn func(fsck.Entry)) error {
+	_, err := ck.fs.forEachDirent(in, dir, func(b *cache.Buf, e dirent) bool {
+		if e.ino != 0 {
+			fn(fsck.Entry{Name: e.name, Ino: vfs.Ino(e.ino), Type: e.ftype,
+				Loc: fsck.Loc{Block: b.Block, Off: e.off, Len: e.reclen}})
 		}
 		return false
 	})
+	return err
+}
+
+// putEntry overwrites one record, keeping its reclen. Freeing in place
+// (ino 0) is always valid; slack merging is an optimization the next
+// dirAdd can redo.
+func putEntry(block []byte, l fsck.Loc, name string, target vfs.Ino) {
+	ft := vfs.TypeDir
+	if target == 0 {
+		ft = vfs.TypeInvalid
+	}
+	encodeDirent(block, l.Off, uint32(target), l.Len, ft, name)
+}
+
+func (ck checker) addEntry(in *layout.Inode, dir vfs.Ino, name string, target vfs.Ino) error {
+	b, err := ck.fs.dirAdd(in, dir, name, target, vfs.TypeDir)
 	if err != nil {
-		return false, nil
+		return err
 	}
-	if b != nil {
-		// Rewrite the target in place; name and reclen are unchanged.
-		encodeDirent(b.Data, found.off, uint32(df.target), found.reclen, vfs.TypeDir, df.name)
-		fs.c.MarkDirty(b)
-		b.Release()
-		return true, nil
-	}
-	b, err = fs.dirAdd(&in, df.dir, df.name, df.target, vfs.TypeDir)
-	if err != nil {
-		return false, err
-	}
-	fs.c.MarkDirty(b)
+	ck.fs.c.MarkDirty(b)
 	b.Release()
-	return true, fs.putInode(df.dir, &in, false)
+	return ck.fs.putInode(dir, in, false)
 }
 
-func (s *ffsCheck) clearPtr(pr ffsPtrRef) (bool, error) {
-	fs := s.fs
-	in, err := fs.getInode(pr.ino)
-	if err != nil {
-		return false, nil
-	}
-	switch pr.kind {
-	case ffsPtrIndir:
-		in.Indir = 0
-		return true, fs.putInode(pr.ino, &in, false)
-	case ffsPtrDIndir:
-		in.DIndir = 0
-		return true, fs.putInode(pr.ino, &in, false)
-	case ffsPtrL2:
-		if in.DIndir == 0 {
-			return false, nil
+// inodes reads every slot of every inode table: liveness is the inode's
+// own type field, the inode bitmap being what the check verifies.
+func (ck checker) inodes(fn func(ino vfs.Ino, alive bool)) {
+	sb := &ck.fs.sb
+	for ino := vfs.Ino(1); int64(ino) <= int64(sb.NCG)*int64(sb.InodesPerCG); ino++ {
+		if in, err := ck.fs.getInode(ino); err == nil {
+			fn(ino, in.Alive())
 		}
-		return s.zeroPtrInBlock(int64(in.DIndir), int(pr.lb))
 	}
-	lb := pr.lb
-	if lb < layout.NDirect {
-		in.Direct[lb] = 0
-		return true, fs.putInode(pr.ino, &in, false)
-	}
-	rel := lb - layout.NDirect
-	if rel < layout.PtrsPerBlock {
-		if in.Indir == 0 {
-			return false, nil
-		}
-		return s.zeroPtrInBlock(int64(in.Indir), int(rel))
-	}
-	rel -= layout.PtrsPerBlock
-	if in.DIndir == 0 {
-		return false, nil
-	}
-	db, err := fs.c.Read(int64(in.DIndir))
-	if err != nil {
-		return false, nil
-	}
-	l2 := leBytes{db.Data}.u32(int(rel/layout.PtrsPerBlock) * 4)
-	db.Release()
-	if l2 == 0 {
-		return false, nil
-	}
-	return s.zeroPtrInBlock(int64(l2), int(rel%layout.PtrsPerBlock))
 }
 
-func (s *ffsCheck) zeroPtrInBlock(block int64, k int) (bool, error) {
-	b, err := s.fs.c.Read(block)
-	if err != nil {
-		return false, nil
+// groupState compares — or with rewrite set rebuilds — one cylinder
+// group's inode bitmap against the inodes the walk reached.
+func (ck checker) groupState(cg int, hdr *cache.Buf, w *fsck.Walk, rewrite bool) int {
+	ibm, n := ck.fs.inodeBitmap(hdr), 0
+	for i := 0; i < ibm.Len(); i++ {
+		ino := vfs.Ino(cg*ibm.Len() + i + 1)
+		switch referenced := w.Referenced(ino); {
+		case referenced == ibm.IsSet(i):
+		case !rewrite:
+			w.Problemf("inode %d bitmap bit %v, reachability %v", ino, ibm.IsSet(i), referenced)
+		case referenced:
+			ibm.Set(i)
+			n++
+		default:
+			ibm.Clear(i)
+			n++
+		}
 	}
-	leBytes{b.Data}.pu32(k*4, 0)
-	s.fs.c.MarkDirty(b)
-	b.Release()
-	return true, nil
-}
-
-// rewriteAlloc rebuilds block and inode bitmaps from the walk.
-func (s *ffsCheck) rewriteAlloc() (int, error) {
-	fs, n := s.fs, 0
-	for cg := 0; cg < fs.sb.NCG; cg++ {
-		hdr, err := fs.c.Read(fs.sb.cgStart(cg))
-		if err != nil {
-			return n, err
-		}
-		bm := fs.blockBitmap(hdr)
-		ibm := fs.inodeBitmap(hdr)
-		for i := 0; i < fs.sb.CGBlocks; i++ {
-			phys := fs.sb.cgStart(cg) + int64(i)
-			if phys >= fs.sb.NBlocks {
-				break
-			}
-			_, inUse := s.used[phys]
-			if inUse != bm.IsSet(i) {
-				if inUse {
-					bm.Set(i)
-				} else {
-					bm.Clear(i)
-				}
-				n++
-			}
-		}
-		for i := 0; i < fs.sb.InodesPerCG; i++ {
-			ino := vfs.Ino(cg*fs.sb.InodesPerCG + i + 1)
-			referenced := s.inoSeen[ino] > 0 || s.visited[ino]
-			if referenced != ibm.IsSet(i) {
-				if referenced {
-					ibm.Set(i)
-				} else {
-					ibm.Clear(i)
-				}
-				n++
-			}
-		}
-		fs.c.MarkDirty(hdr)
-		hdr.Release()
-	}
-	return n, fs.c.Sync()
+	return n
 }

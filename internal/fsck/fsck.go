@@ -1,9 +1,33 @@
-// Package fsck implements offline consistency checkers for both file
-// systems. The C-FFS checker demonstrates the recovery property the
-// paper claims for embedded inodes: although inodes are no longer at
-// statically determined locations, every inode can be found by walking
-// the directory hierarchy from the root, and the allocation state
-// (bitmaps, group descriptors) can be rebuilt from that walk.
+// Package fsck is the offline, repairing consistency checker for both
+// file systems: one engine (Run, engine.go) over a per-format Layout,
+// and the Report it returns. The paper's price for embedded inodes is
+// that inodes lose their static locations; its answer is that every
+// inode can still be found by walking the directory hierarchy from the
+// root, and the allocation state rebuilt from that walk. That is FFS's
+// fsck with one thing changed — where an inode is — so C-FFS and FFS run
+// the same algorithm here and differ only in the Layout they supply.
+//
+// A run has up to four phases:
+//
+//  1. Walk. Claim the fixed metadata, then from the root claim every
+//     block each inode reaches: first claimant wins, and a pointer that
+//     is out of range or already claimed is planned for cutting. The
+//     walk follows the pointers that exist, so its cost is bounded by
+//     the image whatever a size field says (eachData). Then the Walked
+//     hook, then the cross-check of separately located inodes, block
+//     bitmaps and the layout's own group state against what the walk
+//     found. A fix enters the plan only with its problem line
+//     (Walk.fix), so a clean report means an empty plan.
+//  2. Apply the plan (then the Applied hook) and walk again, at most
+//     maxPasses times, until a walk plans nothing.
+//  3. Rewrite the allocation state from the last walk; the Rebuilt hook.
+//  4. A verification walk: whatever it reports is Unrepairable; if
+//     nothing, the Verified hook.
+//
+// A detect-only run, or a clean image, stops after the first walk. The
+// hooks are C-FFS's directory-index verification, drop and rebuild and
+// its clean flag; FFS has none. internal/lfs recovers by checkpoint, a
+// different algorithm, and shares only the Report.
 package fsck
 
 import (
