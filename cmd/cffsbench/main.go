@@ -9,12 +9,13 @@
 //	cffsbench -list
 //
 // With no -exp, every experiment runs in sequence (the full run takes a
-// few minutes of real time; pass -quick for a fast pass).
+// few minutes of real time; pass -quick for a fast pass). Every run
+// evaluates the experiment's declared gates (bench.Experiment.Gates):
+// the tables are printed, and a violated gate exits non-zero.
 //
-// -metrics-json enables metrics capture and writes a machine-readable
-// report: with -exp the report goes to exactly the given path; without
-// -exp the path names a directory that receives one BENCH_<name>.json
-// per experiment.
+// -metrics-json writes the machine-readable report: with -exp it goes to
+// exactly the given path; without -exp the path names a directory that
+// receives one BENCH_<name>.json per experiment.
 package main
 
 import (
@@ -45,7 +46,7 @@ func main() {
 		quick   = flag.Bool("quick", false, "shrink workloads ~10x")
 		aged    = flag.Bool("aged", false, "age every file system (and the ssd FTL) before measuring")
 		chans   = flag.Int("channels", 0, "ssd channel-count override (0 = backend default)")
-		mjson   = flag.String("metrics-json", "", "capture metrics and write a JSON report (file with -exp, directory otherwise)")
+		mjson   = flag.String("metrics-json", "", "write the JSON report (file with -exp, directory otherwise)")
 		expoOn  = flag.String("expo", "", `serve live metrics over HTTP while experiments run (e.g. "127.0.0.1:9130")`)
 	)
 	flag.Parse()
@@ -72,11 +73,10 @@ func main() {
 	}
 
 	if *expoOn != "" {
-		// Every variant a comparative experiment mounts records into this
-		// shared registry, so a dashboard scraping /metrics (or /delta)
-		// watches the run live. (-metrics-json additionally gives each
-		// variant a private registry for the report; the shared one still
-		// sees everything mounted without one.)
+		// Every variant mounted through the shared registry records into
+		// it, so a dashboard scraping /metrics (or /delta) watches the run
+		// live. (Experiments whose report carries per-variant metrics give
+		// each variant a private registry instead.)
 		cfg.Registry = obs.NewRegistry()
 		srv := expo.New(expo.Config{Addr: *expoOn, Registry: cfg.Registry})
 		addr, err := srv.Start()
@@ -85,41 +85,34 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cffsbench: exposition server on http://%s/metrics\n", addr)
 	}
 
-	if *mjson != "" {
-		if *exp != "" {
-			fatal(runReport(*exp, cfg, *mjson))
-			return
-		}
+	exps := bench.Experiments()
+	if *exp != "" {
+		e, err := bench.ByName(*exp)
+		fatal(err)
+		exps = []bench.Experiment{e}
+	} else if *mjson != "" {
 		fatal(os.MkdirAll(*mjson, 0o755))
-		for _, e := range bench.Experiments() {
-			fatal(runReport(e.Name, cfg, filepath.Join(*mjson, "BENCH_"+e.Name+".json")))
+	}
+	for _, e := range exps {
+		rep, err := e.Report(cfg)
+		if rep.Tables == nil {
+			fatal(err) // did not run
 		}
-		return
-	}
-
-	if *exp == "" {
-		fatal(bench.RunAll(os.Stdout, cfg))
-		return
-	}
-	e, err := bench.ByName(*exp)
-	fatal(err)
-	tables, err := e.Run(cfg)
-	fatal(err)
-	for _, t := range tables {
-		t.Render(os.Stdout)
+		// A report that violated a gate is still printed and written: the
+		// numbers that broke the bound are the useful artifact.
+		rep.Render(os.Stdout)
+		if *mjson != "" {
+			path := *mjson
+			if *exp == "" {
+				path = filepath.Join(path, "BENCH_"+e.Name+".json")
+			}
+			fatal(writeReport(rep, path))
+		}
+		fatal(err)
 	}
 }
 
-// runReport runs one experiment with metrics capture, renders its
-// tables to stdout, and writes the JSON report to path.
-func runReport(name string, cfg bench.Config, path string) error {
-	rep, err := bench.RunReport(name, cfg)
-	if err != nil {
-		return err
-	}
-	for _, t := range rep.Tables {
-		t.Render(os.Stdout)
-	}
+func writeReport(rep bench.Report, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

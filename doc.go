@@ -11,7 +11,8 @@
 // harness (internal/workload, internal/aging, internal/bench).
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for the reproduced tables and figures. The benchmarks
-// in bench_test.go regenerate every table and figure; cmd/cffsbench is
-// the command-line front end for the same experiments.
+// EXPERIMENTS.md for the reproduced tables and figures. cmd/cffsbench
+// regenerates every table and figure under its declared gates;
+// benchmark/ is the repository's one host- and simulated-clock
+// benchmark.
 package cffs

@@ -6,7 +6,6 @@ import (
 	"cffs/internal/aging"
 	"cffs/internal/core"
 	"cffs/internal/disk"
-	"cffs/internal/sim"
 	"cffs/internal/workload"
 )
 
@@ -73,13 +72,7 @@ func SchedulerAblation(cfg Config) ([]Table, error) {
 		for _, v := range pair() {
 			c := cfg
 			c.Scheduler = schedName
-			fs, _, err := v.Build(c, core.ModeDelayed)
-			if err != nil {
-				return nil, err
-			}
-			res, err := workload.RunSmallFile(fs, workload.SmallFileConfig{
-				NumFiles: c.NumFiles / 2, FileSize: c.FileSize, Dirs: c.Dirs, Seed: c.Seed,
-			})
+			res, err := v.smallFile(c, core.ModeDelayed, c.NumFiles/2, c.FileSize, c.Dirs)
 			if err != nil {
 				return nil, err
 			}
@@ -102,13 +95,7 @@ func CacheSweep(cfg Config) ([]Table, error) {
 		for i, v := range pair() {
 			c := cfg
 			c.CacheBlocks = blocks
-			fs, _, err := v.Build(c, core.ModeDelayed)
-			if err != nil {
-				return nil, err
-			}
-			res, err := workload.RunSmallFile(fs, workload.SmallFileConfig{
-				NumFiles: c.NumFiles / 2, FileSize: c.FileSize, Dirs: c.Dirs, Seed: c.Seed,
-			})
+			res, err := v.smallFile(c, core.ModeDelayed, c.NumFiles/2, c.FileSize, c.Dirs)
 			if err != nil {
 				return nil, err
 			}
@@ -134,13 +121,7 @@ func DriveSweep(cfg Config) ([]Table, error) {
 		for i, v := range pair() {
 			c := cfg
 			c.Drive = spec.Name
-			fs, _, err := v.Build(c, core.ModeDelayed)
-			if err != nil {
-				return nil, err
-			}
-			res, err := workload.RunSmallFile(fs, workload.SmallFileConfig{
-				NumFiles: c.NumFiles / 2, FileSize: c.FileSize, Dirs: c.Dirs, Seed: c.Seed,
-			})
+			res, err := v.smallFile(c, core.ModeDelayed, c.NumFiles/2, c.FileSize, c.Dirs)
 			if err != nil {
 				return nil, err
 			}
@@ -150,7 +131,3 @@ func DriveSweep(cfg Config) ([]Table, error) {
 	}
 	return []Table{t}, nil
 }
-
-// mcSeed keeps deterministic seeds distinct per use without sharing a
-// global generator.
-var _ = sim.NewRNG

@@ -5,11 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"cffs/internal/core"
-	"cffs/internal/obs"
-	"cffs/internal/workload"
-	"cffs/internal/writeback"
 )
 
 // The tests in this file are the reproduction assertions: they run the
@@ -18,29 +13,46 @@ import (
 
 func quick() Config { return Config{Quick: true} }
 
-// runGridPhases runs the small-file grid and indexes results by
-// variant and phase for assertions.
-func runGridPhases(t *testing.T, mode core.Mode) map[string]map[string]workload.PhaseResult {
+// quickRuns holds one Quick-scale run of each registered experiment per
+// test binary: every assertion below, the registry-wide test and the
+// committed baselines read the same reports, so an experiment runs once,
+// gates on, however many tests look at it.
+var quickRuns = map[string]quickRun{}
+
+type quickRun struct {
+	rep Report
+	err error
+}
+
+func quickReport(t *testing.T, name string) Report {
 	t.Helper()
-	cfg := quick().fill()
-	out := make(map[string]map[string]workload.PhaseResult)
-	for _, v := range grid() {
-		fs, _, err := v.Build(cfg, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := workload.RunSmallFile(fs, workload.SmallFileConfig{
-			NumFiles: cfg.NumFiles, FileSize: cfg.FileSize, Dirs: cfg.Dirs, Seed: cfg.Seed,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", v.Name, err)
-		}
-		out[v.Name] = make(map[string]workload.PhaseResult)
-		for _, r := range res {
-			out[v.Name][r.Name] = r
-		}
+	run, ok := quickRuns[name]
+	if !ok {
+		run.rep, run.err = RunReport(name, quick())
+		quickRuns[name] = run
 	}
-	return out
+	if run.err != nil {
+		t.Fatal(run.err)
+	}
+	return run.rep
+}
+
+// cell reads one numeric table cell of a report the way a gate does.
+func cell(t *testing.T, rep Report, table, col string, key ...string) float64 {
+	t.Helper()
+	p := Probe{r: &rep}
+	v := p.Cell(table, col, key...)
+	if p.err != nil {
+		t.Fatal(p.err)
+	}
+	return v
+}
+
+// gridSpeedup is variant a over variant b in one phase of a small-file
+// grid table (fig4/fig6: files/s; fig6-requests: disk requests).
+func gridSpeedup(t *testing.T, rep Report, table, phase, a, b string) float64 {
+	t.Helper()
+	return cell(t, rep, table, a, phase) / cell(t, rep, table, b, phase)
 }
 
 // Paper claim (abstract): embedded inodes and explicit grouping increase
@@ -48,29 +60,20 @@ func runGridPhases(t *testing.T, mode core.Mode) map[string]map[string]workload.
 // (5-7x on the authors' testbed) relative to the same file system
 // without the techniques.
 func TestPaperClaimSmallFileSpeedup(t *testing.T) {
-	r := runGridPhases(t, core.ModeDelayed)
-	read := r["C-FFS"]["read"].FilesPerSec() / r["conventional"]["read"].FilesPerSec()
-	if read < 3.5 {
-		t.Errorf("read speedup %.1fx, paper shape needs >= 3.5x", read)
-	}
-	over := r["C-FFS"]["overwrite"].FilesPerSec() / r["conventional"]["overwrite"].FilesPerSec()
-	if over < 3 {
-		t.Errorf("overwrite speedup %.1fx, paper shape needs >= 3x", over)
-	}
-	create := r["C-FFS"]["create"].FilesPerSec() / r["conventional"]["create"].FilesPerSec()
-	if create < 2 {
-		t.Errorf("create speedup %.1fx, paper shape needs >= 2x", create)
+	rep := quickReport(t, "smallfile-delayed")
+	for phase, floor := range map[string]float64{"read": 3.5, "overwrite": 3, "create": 2} {
+		if got := gridSpeedup(t, rep, "fig6", phase, "C-FFS", "conventional"); got < floor {
+			t.Errorf("%s speedup %.1fx, paper shape needs >= %.1fx", phase, got, floor)
+		}
 	}
 }
 
 // Paper claim (abstract): the improvement comes directly from reducing
 // the number of disk requests by an order of magnitude.
 func TestPaperClaimRequestReduction(t *testing.T) {
-	r := runGridPhases(t, core.ModeDelayed)
+	rep := quickReport(t, "smallfile-delayed")
 	for _, phase := range []string{"create", "read", "overwrite"} {
-		conv := r["conventional"][phase].Disk.Requests
-		cffs := r["C-FFS"][phase].Disk.Requests
-		if ratio := float64(conv) / float64(cffs); ratio < 5 {
+		if ratio := gridSpeedup(t, rep, "fig6-requests", phase, "conventional", "C-FFS"); ratio < 5 {
 			t.Errorf("%s: request reduction %.1fx, want >= 5x", phase, ratio)
 		}
 	}
@@ -80,17 +83,15 @@ func TestPaperClaimRequestReduction(t *testing.T) {
 // throughput ~250% under synchronous metadata, by halving the ordered
 // writes and repeatedly rewriting the same directory block.
 func TestPaperClaimEmbeddedDeleteSpeedup(t *testing.T) {
-	r := runGridPhases(t, core.ModeSync)
+	rep := quickReport(t, "smallfile-sync")
 	// The paper reports ~2.5x; our conventional baseline keeps inodes
 	// closer to their directories than 1997 FFS did, so the structural
 	// gap (two ordered writes vs one) dominates and lands near 2x.
-	del := r["embedded"]["delete"].FilesPerSec() / r["conventional"]["delete"].FilesPerSec()
-	if del < 1.6 {
+	if del := gridSpeedup(t, rep, "fig4", "delete", "embedded", "conventional"); del < 1.6 {
 		t.Errorf("embedded-only delete speedup %.1fx, want >= 1.6x", del)
 	}
 	// And creation benefits too (one ordered write instead of two).
-	cr := r["embedded"]["create"].FilesPerSec() / r["conventional"]["create"].FilesPerSec()
-	if cr < 1.3 {
+	if cr := gridSpeedup(t, rep, "fig4", "create", "embedded", "conventional"); cr < 1.3 {
 		t.Errorf("embedded-only create speedup %.1fx, want >= 1.3x", cr)
 	}
 }
@@ -99,15 +100,12 @@ func TestPaperClaimEmbeddedDeleteSpeedup(t *testing.T) {
 // reads; embedding barely affects them (inode access is amortized), and
 // vice versa for sync-mode deletes.
 func TestTechniqueDecomposition(t *testing.T) {
-	r := runGridPhases(t, core.ModeDelayed)
-	groupRead := r["grouping"]["read"].FilesPerSec()
-	embedRead := r["embedded"]["read"].FilesPerSec()
-	convRead := r["conventional"]["read"].FilesPerSec()
-	if groupRead < 2.5*convRead {
-		t.Errorf("grouping-only read %.0f vs conventional %.0f; grouping should carry the read win", groupRead, convRead)
+	rep := quickReport(t, "smallfile-delayed")
+	if got := gridSpeedup(t, rep, "fig6", "read", "grouping", "conventional"); got < 2.5 {
+		t.Errorf("grouping-only read %.1fx conventional; grouping should carry the read win", got)
 	}
-	if embedRead > 2*convRead {
-		t.Errorf("embedded-only read %.0f vs conventional %.0f; embedding should not dominate reads", embedRead, convRead)
+	if got := gridSpeedup(t, rep, "fig6", "read", "embedded", "conventional"); got > 2 {
+		t.Errorf("embedded-only read %.1fx conventional; embedding should not dominate reads", got)
 	}
 }
 
@@ -115,25 +113,19 @@ func TestTechniqueDecomposition(t *testing.T) {
 // system: far below C-FFS on reads, in the same league as the
 // conventional core configuration.
 func TestIndependentBaselineAgrees(t *testing.T) {
-	r := runGridPhases(t, core.ModeDelayed)
-	ffsRead := r["FFS"]["read"].FilesPerSec()
-	cffsRead := r["C-FFS"]["read"].FilesPerSec()
-	convRead := r["conventional"]["read"].FilesPerSec()
-	if cffsRead < 2.5*ffsRead {
-		t.Errorf("C-FFS read %.0f vs independent FFS %.0f; want >= 2.5x", cffsRead, ffsRead)
+	rep := quickReport(t, "smallfile-delayed")
+	if got := gridSpeedup(t, rep, "fig6", "read", "C-FFS", "FFS"); got < 2.5 {
+		t.Errorf("C-FFS read %.1fx independent FFS; want >= 2.5x", got)
 	}
-	if ffsRead > 3*convRead || convRead > 3*ffsRead {
-		t.Errorf("two conventional implementations diverge: core %.0f vs ffs %.0f", convRead, ffsRead)
+	if got := gridSpeedup(t, rep, "fig6", "read", "FFS", "conventional"); got > 3 || got < 1.0/3 {
+		t.Errorf("two conventional implementations diverge: ffs reads at %.2fx core", got)
 	}
 }
 
 // Figure 2's shape: per-request costs dominate small transfers, so MB/s
 // rises steeply with request size.
 func TestFigure2Shape(t *testing.T) {
-	tables, err := Figure2(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := quickReport(t, "fig2").Tables
 	rows := tables[0].Rows
 	first := cellFloat(t, rows[0][1])          // 1 KB mean ms on C3653
 	last := cellFloat(t, rows[len(rows)-1][1]) // 1 MB mean ms
@@ -147,10 +139,7 @@ func TestFigure2Shape(t *testing.T) {
 
 // Large files must see no meaningful penalty from grouping.
 func TestLargeFileUnchanged(t *testing.T) {
-	tables, err := LargeFile(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := quickReport(t, "largefile").Tables
 	var conv, cffs float64
 	for _, row := range tables[0].Rows {
 		switch row[0] {
@@ -168,10 +157,7 @@ func TestLargeFileUnchanged(t *testing.T) {
 // Applications: C-FFS must win on every small-file-bound workload; the
 // paper reports 10-300%.
 func TestApplicationsSpeedup(t *testing.T) {
-	tables, err := Apps(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := quickReport(t, "apps").Tables
 	tb := tables[0]
 	speedupCol := len(tb.Columns) - 1
 	for _, row := range tb.Rows {
@@ -192,10 +178,7 @@ func TestApplicationsSpeedup(t *testing.T) {
 // Directory overhead: the paper's acknowledged cost — embedded inodes
 // grow directories — and benefit — attribute scans need no extra I/O.
 func TestDirSizeTradeoff(t *testing.T) {
-	tables, err := DirSize(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := quickReport(t, "dirsize").Tables
 	tb := tables[0]
 	last := tb.Rows[len(tb.Rows)-1]
 	convBlocks := cellFloat(t, last[1])
@@ -216,10 +199,7 @@ func TestDirSizeTradeoff(t *testing.T) {
 // The scheduler matters: C-LOOK must beat FCFS for the conventional
 // system's scattered access patterns.
 func TestSchedulerAblation(t *testing.T) {
-	tables, err := SchedulerAblation(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := quickReport(t, "sched").Tables
 	var clookConv, fcfsConv float64
 	for _, row := range tables[0].Rows {
 		if row[0] == "conventional" {
@@ -238,10 +218,7 @@ func TestSchedulerAblation(t *testing.T) {
 
 // Aging shrinks but does not erase the C-FFS advantage.
 func TestAgingShape(t *testing.T) {
-	tables, err := AgingExp(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := quickReport(t, "aging").Tables
 	rows := tables[0].Rows
 	firstSpeedup := cellFloat(t, strings.TrimSuffix(rows[0][4], "x"))
 	lastSpeedup := cellFloat(t, strings.TrimSuffix(rows[len(rows)-1][4], "x"))
@@ -253,62 +230,68 @@ func TestAgingShape(t *testing.T) {
 	}
 }
 
-// The write-behind acceptance claim: an async C-FFS mount must create
-// small files at least as fast as the synchronous mount, with fewer
-// disk requests, and the gain must come from the daemon actually
-// running (writeback.* counters nonzero in the captured metrics).
-func TestWritebackAsyncBeatsSync(t *testing.T) {
-	cfg := quick().fill()
-	run := func(v wbVariant) (workload.PhaseResult, obs.Snapshot) {
-		t.Helper()
-		r := obs.NewRegistry()
-		fs, _, err := v.Build(cfg, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := workload.RunSmallFile(fs, workload.SmallFileConfig{
-			NumFiles: cfg.NumFiles, FileSize: cfg.FileSize, Dirs: cfg.Dirs, Seed: cfg.Seed,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", v.Name, err)
-		}
-		return res[0], r.Snapshot()
-	}
-	sync, _ := run(cffsWBVariant("C-FFS sync", core.ModeSync, writeback.Config{}))
-	async, snap := run(cffsWBVariant("C-FFS async", core.ModeDelayed, asyncPolicy()))
-	if async.FilesPerSec() < sync.FilesPerSec() {
-		t.Errorf("async create %.0f files/s below sync baseline %.0f",
-			async.FilesPerSec(), sync.FilesPerSec())
-	}
-	if async.Disk.Requests >= sync.Disk.Requests {
-		t.Errorf("async create used %d disk requests, sync %d; write-behind must cluster",
-			async.Disk.Requests, sync.Disk.Requests)
-	}
-	if snap.Counter("writeback.blocks") == 0 {
-		t.Error("async mount recorded no daemon-flushed blocks")
-	}
-	if snap.Counter("writeback.flushes") == 0 {
-		t.Error("async mount recorded no daemon flush rounds")
-	}
-}
-
-// All experiments in the registry must run to completion at Quick scale
-// and render valid tables.
+// Every experiment in the registry must run to completion at Quick
+// scale with every declared gate holding, and render non-degenerate
+// tables: this is the one place the namespace, ssd, writeback, scaling
+// and small-file gates are asserted under go test.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry run is slow")
 	}
-	var buf bytes.Buffer
-	if err := RunAll(&buf, quick()); err != nil {
+	for _, e := range Experiments() {
+		rep := quickReport(t, e.Name)
+		if len(rep.Tables) == 0 {
+			t.Errorf("%s: no tables", e.Name)
+		}
+		var buf bytes.Buffer
+		rep.Render(&buf)
+		if out := buf.String(); strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
+			t.Errorf("%s: output contains NaN/Inf:\n%s", e.Name, out)
+		}
+		for _, g := range e.Gates {
+			if !strings.Contains(buf.String(), "note: gate: "+g.Name) {
+				t.Errorf("%s: gate %q is not rendered under table %s", e.Name, g.Name, g.Table)
+			}
+		}
+	}
+}
+
+// A violated gate fails the report with the gate's name and the value
+// that broke it, and still hands back the tables; so does a gate whose
+// cell is not there.
+func TestViolatedGateFailsReport(t *testing.T) {
+	e, err := ByName("table2")
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	// Every experiment emits at least one table header; count them.
-	if got := strings.Count(out, "== "); got < len(Experiments()) {
-		t.Errorf("only %d tables rendered for %d experiments", got, len(Experiments()))
+	e.Gates = []Gate{
+		{"table2", "the testbed disk spins at most 1 RPM", func(p *Probe) {
+			p.AtMost("RPM", p.Cell("table2", "value", "RPM"), 1)
+		}},
+		{"table2", "the testbed disk has a warp drive", func(p *Probe) {
+			p.AtLeast("warp", p.Cell("table2", "value", "warp factor"), 1)
+		}},
+		{"table2", "the testbed disk has heads", func(p *Probe) {
+			p.AtLeast("heads", p.Cell("table2", "value", "heads"), 1)
+		}},
 	}
-	if strings.Contains(out, "NaN") || strings.Contains(out, "+Inf") {
-		t.Error("experiment output contains NaN/Inf")
+	rep, err := e.Report(quick())
+	if err == nil {
+		t.Fatal("impossible gates held")
+	}
+	for _, want := range []string{
+		`table2: gate "the testbed disk spins at most 1 RPM" violated: RPM = 5411, above 1`,
+		`gate "the testbed disk has a warp drive" violated: table table2 has no row [warp factor]`,
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error lacks %q:\n%v", want, err)
+		}
+	}
+	if strings.Contains(err.Error(), "has heads") {
+		t.Errorf("a gate that held is reported:\n%v", err)
+	}
+	if len(rep.Tables) != 1 || len(rep.Tables[0].Notes) != 3 || rep.Tables[0].Notes[2] != "gate: the testbed disk has heads" {
+		t.Errorf("violating report lost its tables or gate notes: %+v", rep.Tables)
 	}
 }
 
@@ -346,19 +329,13 @@ func cellFloat(t *testing.T, s string) float64 {
 // Extension shapes: immediate files make tiny-file reads far cheaper,
 // and readahead multiplies sequential large-file bandwidth.
 func TestExtensionShapes(t *testing.T) {
-	tables, err := Immediate(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := quickReport(t, "immediate").Tables
 	base := cellFloat(t, tables[0].Rows[0][2])
 	inline := cellFloat(t, tables[0].Rows[1][2])
 	if inline < 1.5*base {
 		t.Errorf("immediate tiny-file read %.0f vs %.0f f/s; want >= 1.5x", inline, base)
 	}
-	tables, err = Readahead(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables = quickReport(t, "readahead").Tables
 	ra0 := cellFloat(t, tables[0].Rows[0][1])
 	ra16 := cellFloat(t, tables[0].Rows[len(tables[0].Rows)-1][1])
 	if ra16 < 1.8*ra0 {
@@ -369,10 +346,7 @@ func TestExtensionShapes(t *testing.T) {
 // PostMark churn: C-FFS must hold a clear advantage in steady state,
 // not just on clean create-then-read phases.
 func TestPostmarkShape(t *testing.T) {
-	tables, err := Postmark(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := quickReport(t, "postmark").Tables
 	vals := map[string]float64{}
 	for _, row := range tables[0].Rows {
 		vals[row[0]] = cellFloat(t, row[1])
@@ -389,10 +363,7 @@ func TestPostmarkShape(t *testing.T) {
 // The [Ganger94] observation: synchronous metadata costs the
 // conventional system multiples on create/delete and nothing on reads.
 func TestSoftUpdatesShape(t *testing.T) {
-	tables, err := SoftUpdates(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := quickReport(t, "softupdates").Tables
 	for _, row := range tables[0].Rows {
 		ratio := cellFloat(t, strings.TrimSuffix(row[3], "x"))
 		switch row[0] {

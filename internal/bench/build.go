@@ -8,12 +8,15 @@ import (
 	"cffs/internal/core"
 	"cffs/internal/disk"
 	"cffs/internal/ffs"
+	"cffs/internal/lfs"
 	"cffs/internal/obs"
 	"cffs/internal/sched"
 	"cffs/internal/sim"
 	"cffs/internal/store"
 	"cffs/internal/vfs"
 	"cffs/internal/volume"
+	"cffs/internal/workload"
+	wb "cffs/internal/writeback"
 )
 
 // Config controls experiment scale and substrate. The zero value plus
@@ -81,13 +84,6 @@ func (c Config) fill() Config {
 		c.Dirs = min(c.Dirs, 15)
 	}
 	return c
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // newDevice builds a fresh simulated store + driver through the
@@ -168,56 +164,79 @@ type fsVariant struct {
 	Build func(c Config, mode core.Mode) (vfs.FileSystem, *blockio.Device, error)
 }
 
-// coreVariant builds a C-FFS-family file system.
-func coreVariant(name string, embed, grouping bool) fsVariant {
-	return fsVariant{
-		Name: name,
-		Build: func(c Config, mode core.Mode) (vfs.FileSystem, *blockio.Device, error) {
-			dev, err := c.newDevice()
-			if err != nil {
-				return nil, nil, err
-			}
-			fs, err := core.Mkfs(dev, core.Options{
-				EmbedInodes: embed,
-				Grouping:    grouping,
-				Mode:        mode,
-				CacheBlocks: c.CacheBlocks,
-				Metrics:     c.Registry,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := c.ageIfConfigured(fs, dev); err != nil {
-				return nil, nil, err
-			}
-			return fs, dev, nil
-		},
-	}
+// variant is the one build seam: a fresh device, the file system mkfs
+// makes on it, and the Aged dimension applied before anything is
+// measured.
+func variant(name string, mkfs func(c Config, mode core.Mode, dev *blockio.Device) (vfs.FileSystem, error)) fsVariant {
+	return fsVariant{Name: name, Build: func(c Config, mode core.Mode) (vfs.FileSystem, *blockio.Device, error) {
+		dev, err := c.newDevice()
+		if err != nil {
+			return nil, nil, err
+		}
+		fs, err := mkfs(c, mode, dev)
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := c.ageIfConfigured(fs, dev); err != nil {
+			return nil, nil, err
+		}
+		return fs, dev, nil
+	}}
 }
 
-// ffsVariant builds the independent classic-FFS baseline.
-func ffsVariant() fsVariant {
-	return fsVariant{
-		Name: "FFS",
-		Build: func(c Config, mode core.Mode) (vfs.FileSystem, *blockio.Device, error) {
-			dev, err := c.newDevice()
-			if err != nil {
-				return nil, nil, err
-			}
-			m := ffs.ModeSync
-			if mode == core.ModeDelayed {
-				m = ffs.ModeDelayed
-			}
-			fs, err := ffs.Mkfs(dev, ffs.Options{Mode: m, CacheBlocks: c.CacheBlocks, Metrics: c.Registry})
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := c.ageIfConfigured(fs, dev); err != nil {
-				return nil, nil, err
-			}
-			return fs, dev, nil
-		},
+// cffsVariant builds a C-FFS-family file system with the given knobs;
+// mode, cache size and registry come from the run.
+func cffsVariant(name string, opts core.Options) fsVariant {
+	return variant(name, func(c Config, mode core.Mode, dev *blockio.Device) (vfs.FileSystem, error) {
+		opts := opts
+		opts.Mode, opts.CacheBlocks, opts.Metrics = mode, c.CacheBlocks, c.Registry
+		return core.Mkfs(dev, opts)
+	})
+}
+
+// coreVariant is one cell of the paper's embedding x grouping grid.
+func coreVariant(name string, embed, grouping bool) fsVariant {
+	return cffsVariant(name, core.Options{EmbedInodes: embed, Grouping: grouping})
+}
+
+// ffsVariant is the independent classic-FFS baseline, lfsVariant the
+// log-structured one, both without write-behind.
+func ffsVariant() fsVariant { return ffsWB("FFS", wb.Config{}) }
+func lfsVariant() fsVariant { return lfsWB("LFS", wb.Config{}) }
+
+// ffsWB builds a classic FFS mounted with the given write-behind policy.
+func ffsWB(name string, wbc wb.Config) fsVariant {
+	return variant(name, func(c Config, mode core.Mode, dev *blockio.Device) (vfs.FileSystem, error) {
+		m := ffs.ModeSync
+		if mode == core.ModeDelayed {
+			m = ffs.ModeDelayed
+		}
+		return ffs.Mkfs(dev, ffs.Options{Mode: m, CacheBlocks: c.CacheBlocks, Metrics: c.Registry, Writeback: wbc})
+	})
+}
+
+// lfsWB builds the log-structured file system (it has one metadata
+// mode; the run's is ignored).
+func lfsWB(name string, wbc wb.Config) fsVariant {
+	return variant(name, func(c Config, _ core.Mode, dev *blockio.Device) (vfs.FileSystem, error) {
+		return lfs.Mkfs(dev, lfs.Options{CacheBlocks: c.CacheBlocks, Metrics: c.Registry, Writeback: wbc})
+	})
+}
+
+// smallFile builds v and runs the four-phase small-file benchmark on it
+// under the run's seed and registry.
+func (v fsVariant) smallFile(c Config, mode core.Mode, files, size, dirs int) ([]workload.PhaseResult, error) {
+	fs, _, err := v.Build(c, mode)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", v.Name, err)
 	}
+	res, err := workload.RunSmallFile(fs, workload.SmallFileConfig{
+		NumFiles: files, FileSize: size, Dirs: dirs, Seed: c.Seed, Registry: c.Registry,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", v.Name, err)
+	}
+	return res, nil
 }
 
 // grid is the paper's four-way comparison plus the independent FFS.

@@ -137,22 +137,13 @@ func smallFileGrid(cfg Config, mode core.Mode, throughputID, requestsID string) 
 	for i, v := range variants {
 		thr.Columns = append(thr.Columns, v.Name)
 		req.Columns = append(req.Columns, v.Name)
-		// With metrics capture on, each variant gets its own registry so
-		// the comparison columns never mix streams.
+		// Each variant gets its own registry so the comparison columns
+		// never mix streams.
 		vcfg := cfg
-		if cfg.Metrics != nil {
-			vcfg.Registry = obs.NewRegistry()
-		}
-		fs, _, err := v.Build(vcfg, mode)
+		vcfg.Registry = obs.NewRegistry()
+		res, err := v.smallFile(vcfg, mode, cfg.NumFiles, cfg.FileSize, cfg.Dirs)
 		if err != nil {
 			return nil, err
-		}
-		res, err := workload.RunSmallFile(fs, workload.SmallFileConfig{
-			NumFiles: cfg.NumFiles, FileSize: cfg.FileSize, Dirs: cfg.Dirs, Seed: cfg.Seed,
-			Registry: vcfg.Registry,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", v.Name, err)
 		}
 		results[i] = res
 		regs[i] = vcfg.Registry.Snapshot()
@@ -172,11 +163,7 @@ func smallFileGrid(cfg Config, mode core.Mode, throughputID, requestsID string) 
 		thr.AddRow(tc...)
 		req.AddRow(rc...)
 	}
-	tables := []Table{thr, req}
-	if cfg.Metrics != nil {
-		tables = append(tables, perOpTable(requestsID+"-perop", mode, variants, regs))
-	}
-	return tables, nil
+	return []Table{thr, req, perOpTable(requestsID+"-perop", mode, variants, regs)}, nil
 }
 
 // perOpTable renders disk requests per vfs operation, by operation
@@ -221,6 +208,22 @@ func modeName(m core.Mode) string {
 	return "delayed (soft-updates emulation)"
 }
 
+// smallfileGates is the paper's claim in the registry's terms, and it
+// must hold on every backend: with the seek curve deleted (objstore,
+// ssd) grouping survives purely as request batching.
+var smallfileGates = []Gate{
+	{"fig5-perop", "C-FFS issues fewer disk requests per readat and per create than the independent FFS",
+		func(p *Probe) {
+			for _, op := range []string{"readat", "create"} {
+				c, f := p.PerOp("C-FFS", op), p.PerOp("FFS", op)
+				if c.Ops == 0 || f.Ops == 0 || f.DiskRequests == 0 || c.RequestsPerOp >= f.RequestsPerOp {
+					p.Failf("%s: C-FFS %d ops at %.3f req/op, FFS %d ops at %.3f req/op",
+						op, c.Ops, c.RequestsPerOp, f.Ops, f.RequestsPerOp)
+				}
+			}
+		}},
+}
+
 // Figure4 is the small-file benchmark with conventional synchronous
 // metadata; Figure5 is its request-count companion.
 func Figure4(cfg Config) ([]Table, error) {
@@ -256,13 +259,7 @@ func Figure7(cfg Config) ([]Table, error) {
 		var read [2]float64
 		var create [2]float64
 		for i, v := range pair() {
-			fs, _, err := v.Build(cfg, core.ModeDelayed)
-			if err != nil {
-				return nil, err
-			}
-			res, err := workload.RunSmallFile(fs, workload.SmallFileConfig{
-				NumFiles: n, FileSize: size, Dirs: max(4, n/100), Seed: cfg.Seed,
-			})
+			res, err := v.smallFile(cfg, core.ModeDelayed, n, size, max(4, n/100))
 			if err != nil {
 				return nil, err
 			}
@@ -273,13 +270,6 @@ func Figure7(cfg Config) ([]Table, error) {
 			f1(create[0]), f1(create[1]), f1(read[0]), f1(read[1]), fx(read[1]/read[0]))
 	}
 	return []Table{t}, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Apps reproduces the Section 4.4 application suite: each workload runs

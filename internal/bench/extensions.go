@@ -3,35 +3,12 @@ package bench
 import (
 	"fmt"
 
-	"cffs/internal/blockio"
 	"cffs/internal/core"
 	"cffs/internal/disk"
-	"cffs/internal/lfs"
 	"cffs/internal/trace"
 	"cffs/internal/vfs"
 	"cffs/internal/workload"
 )
-
-// extVariant builds a C-FFS with the extension knobs set.
-func extVariant(name string, opts core.Options) fsVariant {
-	return fsVariant{
-		Name: name,
-		Build: func(c Config, mode core.Mode) (vfs.FileSystem, *blockio.Device, error) {
-			dev, err := c.newDevice()
-			if err != nil {
-				return nil, nil, err
-			}
-			opts := opts
-			opts.Mode = mode
-			opts.CacheBlocks = c.CacheBlocks
-			fs, err := core.Mkfs(dev, opts)
-			if err != nil {
-				return nil, nil, err
-			}
-			return fs, dev, nil
-		},
-	}
-}
 
 // Immediate reproduces the immediate-files ablation [Mullender84]: for
 // files that fit the inode's spare bytes, inlining removes the data
@@ -46,16 +23,10 @@ func Immediate(cfg Config) ([]Table, error) {
 	}
 	n := cfg.NumFiles / 2
 	for _, v := range []fsVariant{
-		extVariant("C-FFS", core.Options{EmbedInodes: true, Grouping: true}),
-		extVariant("C-FFS+immediate", core.Options{EmbedInodes: true, Grouping: true, Immediate: true}),
+		cffsVariant("C-FFS", core.Options{EmbedInodes: true, Grouping: true}),
+		cffsVariant("C-FFS+immediate", core.Options{EmbedInodes: true, Grouping: true, Immediate: true}),
 	} {
-		fs, _, err := v.Build(cfg, core.ModeSync)
-		if err != nil {
-			return nil, err
-		}
-		res, err := workload.RunSmallFile(fs, workload.SmallFileConfig{
-			NumFiles: n, FileSize: 32, Dirs: cfg.Dirs, Seed: cfg.Seed,
-		})
+		res, err := v.smallFile(cfg, core.ModeSync, n, 32, cfg.Dirs)
 		if err != nil {
 			return nil, err
 		}
@@ -80,7 +51,7 @@ func Readahead(cfg Config) ([]Table, error) {
 	}
 	data := make([]byte, size)
 	for _, ra := range []int{0, 4, 8, 16} {
-		fs, dev, err := extVariant("ra", core.Options{
+		fs, dev, err := cffsVariant("ra", core.Options{
 			EmbedInodes: true, Grouping: true, Readahead: ra,
 		}).Build(cfg, core.ModeDelayed)
 		if err != nil {
@@ -127,7 +98,7 @@ func Postmark(cfg Config) ([]Table, error) {
 		Seed:         cfg.Seed,
 	}
 	variants := append(grid(),
-		extVariant("C-FFS adaptive", core.Options{EmbedInodes: true, Grouping: true, AdaptiveGroupRead: true}),
+		cffsVariant("C-FFS adaptive", core.Options{EmbedInodes: true, Grouping: true, AdaptiveGroupRead: true}),
 		lfsVariant())
 	for _, v := range variants {
 		fs, _, err := v.Build(cfg, core.ModeDelayed)
@@ -156,13 +127,7 @@ func SoftUpdates(cfg Config) ([]Table, error) {
 	}
 	var results [2][]workload.PhaseResult
 	for i, mode := range []core.Mode{core.ModeSync, core.ModeDelayed} {
-		fs, _, err := coreVariant("conventional", false, false).Build(cfg, mode)
-		if err != nil {
-			return nil, err
-		}
-		res, err := workload.RunSmallFile(fs, workload.SmallFileConfig{
-			NumFiles: cfg.NumFiles / 2, FileSize: cfg.FileSize, Dirs: cfg.Dirs, Seed: cfg.Seed,
-		})
+		res, err := coreVariant("conventional", false, false).smallFile(cfg, mode, cfg.NumFiles/2, cfg.FileSize, cfg.Dirs)
 		if err != nil {
 			return nil, err
 		}
@@ -213,24 +178,6 @@ func ProfileExp(cfg Config) ([]Table, error) {
 	}
 	t.Notes = append(t.Notes, "fewer, larger, more adjacent requests are the paper's mechanism made visible")
 	return []Table{t}, nil
-}
-
-// lfsVariant builds the log-structured baseline.
-func lfsVariant() fsVariant {
-	return fsVariant{
-		Name: "LFS",
-		Build: func(c Config, _ core.Mode) (vfs.FileSystem, *blockio.Device, error) {
-			dev, err := c.newDevice()
-			if err != nil {
-				return nil, nil, err
-			}
-			fs, err := lfs.Mkfs(dev, lfs.Options{CacheBlocks: c.CacheBlocks})
-			if err != nil {
-				return nil, nil, err
-			}
-			return fs, dev, nil
-		},
-	}
 }
 
 // LFSExp reproduces the paper's qualitative LFS comparison (Section 5):

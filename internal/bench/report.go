@@ -95,7 +95,8 @@ func variantMetricsFrom(name string, total obs.Snapshot, phases []workload.Phase
 
 // Report is the machine-readable result of one experiment run: the
 // rendered tables plus, for metrics-aware experiments, the per-variant
-// registry contents. It is what `cffsbench -metrics-json` writes.
+// registry contents. It is what `cffsbench -metrics-json` writes and
+// what the experiment's gates are evaluated over.
 type Report struct {
 	Experiment string           `json:"experiment"`
 	Config     Config           `json:"config"`
@@ -103,25 +104,43 @@ type Report struct {
 	Variants   []VariantMetrics `json:"variants,omitempty"`
 }
 
-// RunReport runs one experiment with metrics capture enabled and
-// returns the report.
-func RunReport(name string, cfg Config) (Report, error) {
-	e, err := ByName(name)
-	if err != nil {
-		return Report{}, err
-	}
+// Report runs the experiment with metrics capture on, evaluates its
+// gates over the result and renders them into the table notes. A gate
+// violation is returned with the complete report, so the numbers that
+// broke the bound can still be printed and written.
+func (e Experiment) Report(cfg Config) (Report, error) {
 	log := &MetricsLog{}
 	cfg.Metrics = log
 	tables, err := e.Run(cfg)
 	if err != nil {
 		return Report{}, fmt.Errorf("%s: %w", e.Name, err)
 	}
-	return Report{
+	rep := Report{
 		Experiment: e.Name,
 		Config:     cfg.fill(),
 		Tables:     tables,
 		Variants:   log.Variants,
-	}, nil
+	}
+	if err := rep.applyGates(e.Gates); err != nil {
+		return rep, fmt.Errorf("%s: %w", e.Name, err)
+	}
+	return rep, nil
+}
+
+// RunReport is Report on the experiment of that name.
+func RunReport(name string, cfg Config) (Report, error) {
+	e, err := ByName(name)
+	if err != nil {
+		return Report{}, err
+	}
+	return e.Report(cfg)
+}
+
+// Render writes every table as aligned text.
+func (r Report) Render(w io.Writer) {
+	for _, t := range r.Tables {
+		t.Render(w)
+	}
 }
 
 // WriteJSON emits the report as indented JSON.

@@ -17,13 +17,11 @@ func TestRunReportSmallFile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full comparison grid")
 	}
-	rep, err := RunReport("smallfile", quick())
-	if err != nil {
-		t.Fatal(err)
+	e, err := ByName("smallfile")
+	if err != nil || e.Name != "smallfile-sync" {
+		t.Fatalf("alias resolved to %q, %v; want smallfile-sync", e.Name, err)
 	}
-	if rep.Experiment != "smallfile-sync" {
-		t.Errorf("alias resolved to %q, want smallfile-sync", rep.Experiment)
-	}
+	rep := quickReport(t, e.Name)
 	if len(rep.Variants) != len(grid()) {
 		t.Fatalf("%d variant records, want %d", len(rep.Variants), len(grid()))
 	}

@@ -11,6 +11,35 @@ import (
 // scalingCounts is the spindle sweep of the scaling experiment.
 var scalingCounts = []int{1, 2, 4, 8}
 
+// scalingMin4Disks is the payoff the group-sized stripe unit exists to
+// deliver: small-file read and create throughput on four spindles over
+// the single-disk rate.
+const scalingMin4Disks = 2.0
+
+var scalingGates = []Gate{
+	{"scaling", fmt.Sprintf("read and create throughput rise from 1 to 2 to 4 disks and reach at least %.1fx at 4", scalingMin4Disks),
+		func(p *Probe) {
+			for _, phase := range []string{"read", "create"} {
+				d1, d2, d4 := p.Cell("scaling", "1 disk", phase), p.Cell("scaling", "2 disks", phase), p.Cell("scaling", "4 disks", phase)
+				p.Rising(phase+" files/s at 1, 2, 4 disks", d1, d2, d4)
+				p.AtLeast(phase+" 4-disk speedup", d4/d1, scalingMin4Disks)
+			}
+		}},
+	{"scaling", "no request in any run split across spindles (group/stripe alignment)",
+		func(p *Probe) {
+			for _, n := range scalingCounts {
+				p.AtMost(spindleLabel(n)+" volume.split_requests", float64(p.Counter(spindleLabel(n), "volume.split_requests")), 0)
+			}
+		}},
+}
+
+func spindleLabel(n int) string {
+	if n == 1 {
+		return "1 disk"
+	}
+	return fmt.Sprintf("%d disks", n)
+}
+
 // ScalingExp measures what spindles buy once one disk is saturated by
 // grouped traffic: the small-file benchmark on an asynchronous C-FFS
 // mount over striped volumes of 1, 2, 4, and 8 disks. Creates scale
@@ -19,8 +48,8 @@ var scalingCounts = []int{1, 2, 4, 8}
 // widens each demand group read with the directory's next extents,
 // which round-robin across spindles (stripe unit = group size). The
 // balance table shows the per-spindle load staying even — the stripe
-// mapping at work — and the split-requests counter proves no group
-// transfer ever straddled two disks.
+// mapping at work — and the volume.split_requests counter (gated at
+// zero) proves no group transfer ever straddled two disks.
 func ScalingExp(cfg Config) ([]Table, error) {
 	cfg = cfg.fill()
 	thr := Table{
@@ -41,10 +70,7 @@ func ScalingExp(cfg Config) ([]Table, error) {
 	}
 	results := make([][]workload.PhaseResult, len(scalingCounts))
 	for ci, n := range scalingCounts {
-		label := fmt.Sprintf("%d disks", n)
-		if n == 1 {
-			label = "1 disk"
-		}
+		label := spindleLabel(n)
 		thr.Columns = append(thr.Columns, label)
 		spd.Columns = append(spd.Columns, label)
 		r := obs.NewRegistry()
@@ -67,10 +93,6 @@ func ScalingExp(cfg Config) ([]Table, error) {
 			return nil, fmt.Errorf("%s: %w", label, err)
 		}
 		results[ci] = res
-		if split := vol.SplitRequests(); split != 0 {
-			return nil, fmt.Errorf("%s: %d requests split across spindles (group/stripe alignment broken)",
-				label, split)
-		}
 		per := vol.PerDisk()
 		var busyTotal int64
 		for _, st := range per {
@@ -101,7 +123,6 @@ func ScalingExp(cfg Config) ([]Table, error) {
 	}
 	thr.Notes = append(thr.Notes,
 		"stripe unit = group size (64 KB): every explicit group lives on one spindle, and",
-		"consecutive groups round-robin, so clustered writes and group readahead fan out;",
-		"no request in any run split across spindles (asserted)")
+		"consecutive groups round-robin, so clustered writes and group readahead fan out")
 	return []Table{thr, spd, bal}, nil
 }

@@ -11,9 +11,9 @@ import (
 	"cffs/internal/workload"
 )
 
-// The CI-enforced bounds of the SSD experiment: the matrix exists to
-// state, with gates rather than prose, which C-FFS gains survive the
-// move from mechanical disk to flash and which evaporate.
+// The bounds of the SSD experiment: the matrix exists to state, with
+// gates rather than prose, which C-FFS gains survive the move from
+// mechanical disk to flash and which evaporate.
 //
 // Survives — request batching: each flash request still pays a fixed
 // cost, so grouping a directory's files into few large transfers keeps
@@ -45,6 +45,52 @@ const (
 	ssdAgedWriteAmpMin = 102  // writeamp_x100 floor for aged ssd cells
 )
 
+var ssdGates = []Gate{
+	{"ssd-matrix", fmt.Sprintf("FFS/C-FFS create req/op >= %.1fx on ssd, fresh and aged (batching survives)", ssdReqAdvantageMin),
+		func(p *Probe) {
+			for _, state := range []string{"fresh", "aged"} {
+				ffs, cffs := p.Cell("ssd-matrix", "FFS create req/op", "ssd", state), p.Cell("ssd-matrix", "C-FFS create req/op", "ssd", state)
+				p.AtLeast("ssd "+state+" FFS/C-FFS create req/op", ffs/cffs, ssdReqAdvantageMin)
+			}
+		}},
+	// The fresh cells give the clean comparison (aging shrinks the disk
+	// speedup on its own, which would flatter this gate).
+	{"ssd-matrix", fmt.Sprintf("fresh ssd read speedup <= %.0f%% of fresh disk read speedup (seek locality evaporates)", 100*ssdSpeedupShrink),
+		func(p *Probe) {
+			speedup := func(backend string) float64 {
+				return p.Cell("ssd-matrix", "C-FFS read (f/s)", backend, "fresh") / p.Cell("ssd-matrix", "conv read (f/s)", backend, "fresh")
+			}
+			p.AtMost("ssd/disk read-speedup ratio", speedup("ssd")/speedup("disk"), ssdSpeedupShrink)
+		}},
+	{"ssd-ftl", fmt.Sprintf("ssd cells carry the ssd.* families; the aged C-FFS cell shows gc runs > 0 and writeamp_x100 >= %d", ssdAgedWriteAmpMin),
+		func(p *Probe) {
+			for _, cell := range []string{"ssd-fresh/C-FFS", "ssd-fresh/FFS", "ssd-aged/C-FFS", "ssd-aged/FFS"} {
+				p.Counter(cell, "ssd.gc.runs")
+				p.Counter(cell, "ssd.writeamp_x100")
+			}
+			p.AtLeast("ssd-aged/C-FFS ssd.gc.runs", float64(p.Counter("ssd-aged/C-FFS", "ssd.gc.runs")), 1)
+			p.AtLeast("ssd-aged/C-FFS ssd.writeamp_x100", float64(p.Counter("ssd-aged/C-FFS", "ssd.writeamp_x100")), ssdAgedWriteAmpMin)
+		}},
+	{"ssd-channels", "create throughput at 8 channels does not trail 1 channel (batched write-back scales with channels)",
+		func(p *Probe) {
+			p.AtLeast("create f/s at 8 channels", p.Cell("ssd-channels", "create (f/s)", "8"), p.Cell("ssd-channels", "create (f/s)", "1"))
+		}},
+	{"ssd-gc", "write amplification and erase count fall strictly from 5% to 25% over-provisioning",
+		func(p *Probe) {
+			for _, col := range []string{"write amp", "erases"} {
+				p.Rising(col+" at 25.0%, 5.0%", p.Cell("ssd-gc", col, "25.0%"), p.Cell("ssd-gc", col, "5.0%"))
+			}
+		}},
+	{"ssd-ordered", "exact: an embedded create is 1 ordered write, a conventional create 2, on disk and ssd alike",
+		func(p *Probe) {
+			for _, backend := range []string{"disk", "ssd"} {
+				if c, conv := p.Cell("ssd-ordered", backend, "C-FFS"), p.Cell("ssd-ordered", backend, "conventional"); c != 1 || conv != 2 {
+					p.Failf("ordered writes per create on %s: C-FFS %.0f, conventional %.0f", backend, c, conv)
+				}
+			}
+		}},
+}
+
 // matrixVariants are the file systems the backend matrix compares: the
 // paper's endpoints plus the independent FFS baseline the req/op gate
 // needs.
@@ -67,8 +113,7 @@ type cellMeas struct {
 // SSDExp is the backend matrix: the small-file benchmark on disk vs
 // flash, fresh vs aged, with FTL accounting, a channel-count sweep, a
 // GC-pressure sweep, and an exact ordered-write probe. Every claim the
-// matrix makes about where the C-FFS bet breaks is enforced in-run; a
-// violated gate fails the experiment.
+// matrix makes about where the C-FFS bet breaks is a gate in ssdGates.
 func SSDExp(cfg Config) ([]Table, error) {
 	cfg = cfg.fill()
 	n := max(400, cfg.NumFiles/2)
@@ -145,11 +190,9 @@ func SSDExp(cfg Config) ([]Table, error) {
 		}
 		return float64(p.Disk.Requests) / float64(p.Files)
 	}
-	speedups := make([]float64, len(cells))
 	for ci, c := range cells {
 		conv, cffs, ffsM := all[ci]["conventional"], all[ci]["C-FFS"], all[ci]["FFS"]
 		sp := cffs.res[1].FilesPerSec() / conv.res[1].FilesPerSec()
-		speedups[ci] = sp
 		cffsReq, ffsReq := reqPerOp(cffs.res[0]), reqPerOp(ffsM.res[0])
 		matrix.AddRow(c.backend, state(c.aged),
 			f1(cffs.res[0].FilesPerSec()),
@@ -157,31 +200,6 @@ func SSDExp(cfg Config) ([]Table, error) {
 			f2(cffsReq), f2(ffsReq), fx(ffsReq/cffsReq))
 
 		if c.backend == "ssd" {
-			// Gate: the batching half of the bet survives on flash.
-			if adv := ffsReq / cffsReq; adv < ssdReqAdvantageMin {
-				return nil, fmt.Errorf(
-					"ssd %s: FFS pays only %.2fx the C-FFS create req/op (%.2f vs %.2f), gate is %.1fx — request batching should survive on flash",
-					state(c.aged), adv, ffsReq, cffsReq, ssdReqAdvantageMin)
-			}
-			// Gate: the ssd.* families must be present in the measured
-			// delta, fresh and aged.
-			for _, m := range []cellMeas{cffs, ffsM} {
-				if _, ok := m.snap.Counters["ssd.gc.runs"]; !ok {
-					return nil, fmt.Errorf("ssd %s: ssd.gc.runs missing from the measured metrics", state(c.aged))
-				}
-				if _, ok := m.snap.Gauges["ssd.writeamp_x100"]; !ok {
-					return nil, fmt.Errorf("ssd %s: ssd.writeamp_x100 missing from the measured metrics", state(c.aged))
-				}
-			}
-			// Gate: an aged flash device must actually be paying for GC.
-			if c.aged {
-				if cffs.snap.Counter("ssd.gc.runs") == 0 {
-					return nil, fmt.Errorf("ssd aged: garbage collection never ran; the aged dimension is vacuous")
-				}
-				if wa := cffs.snap.Gauges["ssd.writeamp_x100"]; wa < ssdAgedWriteAmpMin {
-					return nil, fmt.Errorf("ssd aged: writeamp_x100 = %d, floor is %d — aged flash should amplify writes", wa, ssdAgedWriteAmpMin)
-				}
-			}
 			for _, name := range []string{"conventional", "C-FFS", "FFS"} {
 				m := all[ci][name]
 				ftlT.AddRow(state(c.aged), name,
@@ -194,19 +212,7 @@ func SSDExp(cfg Config) ([]Table, error) {
 			}
 		}
 	}
-	// Gate: the seek-locality half of the read speedup evaporates. The
-	// fresh cells give the clean comparison (aging shrinks the disk
-	// speedup on its own, which would flatter this gate).
-	spDisk, spSSD := speedups[0], speedups[2]
-	if spSSD > ssdSpeedupShrink*spDisk {
-		return nil, fmt.Errorf(
-			"ssd fresh: read speedup %.2fx vs %.2fx on disk — flash should collapse the seek-locality advantage below %.0f%% of the disk's",
-			spSSD, spDisk, 100*ssdSpeedupShrink)
-	}
 	matrix.Notes = append(matrix.Notes,
-		fmt.Sprintf("gates: FFS/C-FFS create req/op >= %.1fx on ssd (batching survives);", ssdReqAdvantageMin),
-		fmt.Sprintf("ssd read speedup <= %.0f%% of disk read speedup (seek locality evaporates);", 100*ssdSpeedupShrink),
-		fmt.Sprintf("aged ssd cells show gc runs > 0 and writeamp_x100 >= %d", ssdAgedWriteAmpMin),
 		"aged runs churn via internal/aging first; metrics deltas cover only the measured phases")
 
 	chT, err := ssdChannelSweep(cfg)
@@ -238,33 +244,18 @@ func ssdChannelSweep(cfg Config) (Table, error) {
 	}
 	n := max(200, cfg.NumFiles/4)
 	dirs := max(4, cfg.Dirs/4)
-	sweep := []int{1, 2, 4, 8}
-	var createFS []float64
-	for _, ch := range sweep {
+	for _, ch := range []int{1, 2, 4, 8} {
 		vcfg := cfg
 		vcfg.Backend = "ssd"
 		vcfg.Channels = ch
 		vcfg.Aged = false
-		fs, _, err := coreVariant("C-FFS", true, true).Build(vcfg, core.ModeDelayed)
+		res, err := coreVariant("C-FFS", true, true).smallFile(vcfg, core.ModeDelayed, n, cfg.FileSize, dirs)
 		if err != nil {
 			return t, fmt.Errorf("ssd channels=%d: %w", ch, err)
 		}
-		res, err := workload.RunSmallFile(fs, workload.SmallFileConfig{
-			NumFiles: n, FileSize: cfg.FileSize, Dirs: dirs, Seed: cfg.Seed,
-		})
-		if err != nil {
-			return t, fmt.Errorf("ssd channels=%d: %w", ch, err)
-		}
-		createFS = append(createFS, res[0].FilesPerSec())
 		t.AddRow(fmt.Sprintf("%d", ch),
 			f1(res[0].FilesPerSec()), f1(res[1].FilesPerSec()), f1(res[3].FilesPerSec()))
 	}
-	if last := len(createFS) - 1; createFS[last] < createFS[0] {
-		return t, fmt.Errorf(
-			"ssd channels: create throughput fell from %.1f f/s at %d channel(s) to %.1f at %d — batched write-back should scale with channels",
-			createFS[0], sweep[0], createFS[last], sweep[len(sweep)-1])
-	}
-	t.Notes = append(t.Notes, "gate: create throughput at 8 channels must not trail 1 channel")
 	return t, nil
 }
 
@@ -285,8 +276,6 @@ func ssdGCSweep(cfg Config) (Table, error) {
 	if cfg.Quick {
 		writes /= 4
 	}
-	var amps []float64
-	var erases []int64
 	for _, op := range []float64{0.05, 0.125, 0.25} {
 		spec := ssd.DefaultSpec()
 		spec.OverProvision = op
@@ -306,26 +295,17 @@ func ssdGCSweep(cfg Config) (Table, error) {
 			}
 		}
 		st := dev.FTL()
-		amps = append(amps, st.WriteAmp)
-		erases = append(erases, st.Erases)
 		t.AddRow(fmt.Sprintf("%.1f%%", op*100), f2(st.WriteAmp),
 			fmt.Sprintf("%d", st.Moved), fmt.Sprintf("%d", st.Erases),
 			fmt.Sprintf("%d", st.MaxErase),
 			f1(float64(clk.Now())/float64(writes)/1e3))
 	}
-	last := len(amps) - 1
-	if amps[0] <= amps[last] || erases[0] <= erases[last] {
-		return t, fmt.Errorf(
-			"ssd gc: write amplification %.2f->%.2f and erases %d->%d across 0.05->0.25 over-provisioning — more spare area must mean strictly less GC work",
-			amps[0], amps[last], erases[0], erases[last])
-	}
 	t.Notes = append(t.Notes,
-		"gate: write amplification and erase count fall strictly as over-provisioning grows",
 		fmt.Sprintf("%d random page overwrites per level on a pre-dirtied 32 MB device", writes))
 	return t, nil
 }
 
-// ssdOrderedProbe checks the survival claim exactly: under synchronous
+// ssdOrderedProbe measures the survival claim exactly: under synchronous
 // metadata, an embedded create is one ordered write and a conventional
 // create is two, and those counts are identical on disk and flash —
 // the write stream belongs to the file system, not the device.
@@ -336,10 +316,6 @@ func ssdOrderedProbe(cfg Config) (Table, error) {
 		Columns: []string{"variant", "disk", "ssd"},
 	}
 	for _, v := range pair() {
-		want := int64(2)
-		if v.Name == "C-FFS" {
-			want = 1
-		}
 		var got [2]int64
 		for bi, backend := range []string{"disk", "ssd"} {
 			vcfg := cfg
@@ -360,13 +336,6 @@ func ssdOrderedProbe(cfg Config) (Table, error) {
 			got[bi] = dev.Disk().Stats().Writes
 		}
 		t.AddRow(v.Name, fmt.Sprintf("%d", got[0]), fmt.Sprintf("%d", got[1]))
-		if got[0] != want || got[1] != want {
-			return t, fmt.Errorf(
-				"%s: create issued %d ordered writes on disk and %d on ssd, want exactly %d on both — ordered-write counts must survive the backend change",
-				v.Name, got[0], got[1], want)
-		}
 	}
-	t.Notes = append(t.Notes,
-		"gate (exact): embedded create = 1 ordered write, conventional = 2, identical across backends")
 	return t, nil
 }

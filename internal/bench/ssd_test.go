@@ -1,86 +1,11 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"cffs/internal/core"
 	"cffs/internal/vfs"
 )
-
-// The SSD experiment's gates return errors, so a clean run is the
-// assertion that every claim about where the C-FFS bet breaks held.
-// This test additionally pins the report shape the CI matrix job and
-// the BENCH_10.json baseline depend on.
-func TestSSDExp(t *testing.T) {
-	if testing.Short() {
-		t.Skip("backend matrix is slow")
-	}
-	cfg := quick()
-	log := &MetricsLog{}
-	cfg.Metrics = log
-	tables, err := SSDExp(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"ssd-matrix", "ssd-ftl", "ssd-channels", "ssd-gc", "ssd-ordered"}
-	if len(tables) != len(want) {
-		t.Fatalf("got %d tables, want %d", len(tables), len(want))
-	}
-	for i, id := range want {
-		if tables[i].ID != id {
-			t.Errorf("table %d is %q, want %q", i, tables[i].ID, id)
-		}
-		for _, row := range tables[i].Rows {
-			for _, cell := range row {
-				if strings.Contains(cell, "NaN") || strings.Contains(cell, "Inf") {
-					t.Errorf("%s: bad cell %q in row %v", tables[i].ID, cell, row)
-				}
-			}
-		}
-	}
-	if len(tables[0].Rows) != 4 {
-		t.Fatalf("matrix has %d rows, want 4 (disk/ssd x fresh/aged)", len(tables[0].Rows))
-	}
-	if len(tables[1].Rows) != 6 {
-		t.Fatalf("ftl table has %d rows, want 6 (2 states x 3 variants)", len(tables[1].Rows))
-	}
-
-	// One metrics record per (cell, variant).
-	if len(log.Variants) != 12 {
-		t.Fatalf("got %d variant records, want 12", len(log.Variants))
-	}
-	seen := make(map[string]bool)
-	for _, v := range log.Variants {
-		seen[v.Variant] = true
-		if cr, ok := v.PerOp["create"]; !ok || cr.Ops == 0 {
-			t.Errorf("variant %s: no create ops recorded", v.Variant)
-		}
-		if !strings.HasPrefix(v.Variant, "ssd-") {
-			continue
-		}
-		// The ssd.* families must ride in the report, fresh and aged.
-		if _, ok := v.Total.Counters["ssd.gc.runs"]; !ok {
-			t.Errorf("variant %s: ssd.gc.runs missing", v.Variant)
-		}
-		if _, ok := v.Total.Gauges["ssd.writeamp_x100"]; !ok {
-			t.Errorf("variant %s: ssd.writeamp_x100 missing", v.Variant)
-		}
-		if strings.HasPrefix(v.Variant, "ssd-aged/") {
-			if v.Total.Counter("ssd.gc.runs") == 0 {
-				t.Errorf("variant %s: aged cell never garbage-collected", v.Variant)
-			}
-			if wa := v.Total.Gauges["ssd.writeamp_x100"]; wa <= 100 {
-				t.Errorf("variant %s: aged write amplification %d, want > 100", v.Variant, wa)
-			}
-		}
-	}
-	for _, name := range []string{"disk-fresh/C-FFS", "disk-aged/FFS", "ssd-fresh/conventional", "ssd-aged/C-FFS"} {
-		if !seen[name] {
-			t.Errorf("variant record %q missing (have %v)", name, len(seen))
-		}
-	}
-}
 
 // Aged builds must reset device statistics after the churn so measured
 // phases start from zero, and the aged image must actually differ from

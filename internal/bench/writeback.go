@@ -3,12 +3,8 @@ package bench
 import (
 	"fmt"
 
-	"cffs/internal/blockio"
 	"cffs/internal/core"
-	"cffs/internal/ffs"
-	"cffs/internal/lfs"
 	"cffs/internal/obs"
-	"cffs/internal/vfs"
 	"cffs/internal/workload"
 	wb "cffs/internal/writeback"
 )
@@ -22,50 +18,32 @@ func asyncPolicy() wb.Config {
 	return wb.Config{Enabled: true, Inline: true}
 }
 
-// wbVariant is one sync-vs-async mount configuration under comparison.
-type wbVariant struct {
-	Name  string
-	Build func(c Config, r *obs.Registry) (vfs.FileSystem, *blockio.Device, error)
+// cffsWB is C-FFS mounted with the given write-behind policy.
+func cffsWB(name string, cfg wb.Config) fsVariant {
+	return cffsVariant(name, core.Options{EmbedInodes: true, Grouping: true, Writeback: cfg})
 }
 
-func cffsWBVariant(name string, mode core.Mode, cfg wb.Config) wbVariant {
-	return wbVariant{Name: name, Build: func(c Config, r *obs.Registry) (vfs.FileSystem, *blockio.Device, error) {
-		dev, err := c.newDevice()
-		if err != nil {
-			return nil, nil, err
-		}
-		fs, err := core.Mkfs(dev, core.Options{
-			EmbedInodes: true, Grouping: true, Mode: mode,
-			CacheBlocks: c.CacheBlocks, Metrics: r, Writeback: cfg,
-		})
-		return fs, dev, err
-	}}
-}
-
-func ffsWBVariant(name string, mode ffs.Mode, cfg wb.Config) wbVariant {
-	return wbVariant{Name: name, Build: func(c Config, r *obs.Registry) (vfs.FileSystem, *blockio.Device, error) {
-		dev, err := c.newDevice()
-		if err != nil {
-			return nil, nil, err
-		}
-		fs, err := ffs.Mkfs(dev, ffs.Options{
-			Mode: mode, CacheBlocks: c.CacheBlocks, Metrics: r, Writeback: cfg,
-		})
-		return fs, dev, err
-	}}
-}
-
-func lfsWBVariant(name string, cfg wb.Config) wbVariant {
-	return wbVariant{Name: name, Build: func(c Config, r *obs.Registry) (vfs.FileSystem, *blockio.Device, error) {
-		dev, err := c.newDevice()
-		if err != nil {
-			return nil, nil, err
-		}
-		fs, err := lfs.Mkfs(dev, lfs.Options{
-			CacheBlocks: c.CacheBlocks, Metrics: r, Writeback: cfg,
-		})
-		return fs, dev, err
-	}}
+// The write-behind acceptance claim: an async C-FFS mount creates small
+// files at least as fast as the synchronous mount, with fewer disk
+// requests, and the gain comes from the daemon actually running.
+var writebackGates = []Gate{
+	{"writeback", "C-FFS async creates files at least as fast as C-FFS sync",
+		func(p *Probe) {
+			p.AtLeast("async create files/s", p.Cell("writeback", "C-FFS async", "create"), p.Cell("writeback", "C-FFS sync", "create"))
+		}},
+	{"writeback-requests", "C-FFS async issues fewer create-phase disk requests than C-FFS sync (and more than none)",
+		func(p *Probe) {
+			async, sync := p.Cell("writeback-requests", "C-FFS async", "create"), p.Cell("writeback-requests", "C-FFS sync", "create")
+			if !(0 < async && async < sync) {
+				p.Failf("create requests: async %.0f, sync %.0f", async, sync)
+			}
+		}},
+	{"writeback-daemon", "the C-FFS async mount records daemon activity: writeback.flushes > 0 and writeback.blocks > 0",
+		func(p *Probe) {
+			for _, name := range []string{"writeback.flushes", "writeback.blocks"} {
+				p.AtLeast("C-FFS async "+name, float64(p.Counter("C-FFS async", name)), 1)
+			}
+		}},
 }
 
 // WritebackExp measures what the write-behind daemon buys: the
@@ -75,13 +53,16 @@ func lfsWBVariant(name string, cfg wb.Config) wbVariant {
 // each file system needs before clustering pays off.
 func WritebackExp(cfg Config) ([]Table, error) {
 	cfg = cfg.fill()
-	variants := []wbVariant{
-		cffsWBVariant("C-FFS sync", core.ModeSync, wb.Config{}),
-		cffsWBVariant("C-FFS async", core.ModeDelayed, asyncPolicy()),
-		ffsWBVariant("FFS sync", ffs.ModeSync, wb.Config{}),
-		ffsWBVariant("FFS async", ffs.ModeDelayed, asyncPolicy()),
-		lfsWBVariant("LFS", wb.Config{}),
-		lfsWBVariant("LFS async", asyncPolicy()),
+	variants := []struct {
+		fsVariant
+		mode core.Mode
+	}{
+		{cffsWB("C-FFS sync", wb.Config{}), core.ModeSync},
+		{cffsWB("C-FFS async", asyncPolicy()), core.ModeDelayed},
+		{ffsWB("FFS sync", wb.Config{}), core.ModeSync},
+		{ffsWB("FFS async", asyncPolicy()), core.ModeDelayed},
+		{lfsWB("LFS", wb.Config{}), core.ModeDelayed},
+		{lfsWB("LFS async", asyncPolicy()), core.ModeDelayed},
 	}
 	thr := Table{
 		ID: "writeback",
@@ -106,16 +87,11 @@ func WritebackExp(cfg Config) ([]Table, error) {
 		// Each variant gets its own registry: the async columns carry the
 		// writeback.* counters, and comparisons never mix streams.
 		r := obs.NewRegistry()
-		fs, _, err := v.Build(cfg, r)
+		vcfg := cfg
+		vcfg.Registry = r
+		res, err := v.smallFile(vcfg, v.mode, cfg.NumFiles, cfg.FileSize, cfg.Dirs)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", v.Name, err)
-		}
-		res, err := workload.RunSmallFile(fs, workload.SmallFileConfig{
-			NumFiles: cfg.NumFiles, FileSize: cfg.FileSize, Dirs: cfg.Dirs, Seed: cfg.Seed,
-			Registry: r,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", v.Name, err)
+			return nil, err
 		}
 		results[i] = res
 		snap := r.Snapshot()
@@ -169,15 +145,11 @@ func writebackSweep(cfg Config) (Table, error) {
 	for _, hw := range limits {
 		pol := wb.Config{
 			Enabled: true, Inline: true,
-			HighWater: hw, LowWater: hw / 2, HardLimit: minf(2*hw, 0.9),
+			HighWater: hw, LowWater: hw / 2, HardLimit: min(2*hw, 0.9),
 		}
 		row := []string{fmt.Sprintf("%d%%", int(hw*100))}
-		for _, v := range []wbVariant{
-			cffsWBVariant("C-FFS", core.ModeDelayed, pol),
-			ffsWBVariant("FFS", ffs.ModeDelayed, pol),
-			lfsWBVariant("LFS", pol),
-		} {
-			fs, dev, err := v.Build(cfg, nil)
+		for _, v := range []fsVariant{cffsWB("C-FFS", pol), ffsWB("FFS", pol), lfsWB("LFS", pol)} {
+			fs, dev, err := v.Build(cfg, core.ModeDelayed)
 			if err != nil {
 				return Table{}, fmt.Errorf("%s: %w", v.Name, err)
 			}
@@ -196,11 +168,4 @@ func writebackSweep(cfg Config) (Table, error) {
 		"create phase including final write-back; low water = half the high-water mark,",
 		"hard limit = twice; small limits flush small batches, large ones flush whole groups")
 	return t, nil
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -23,7 +23,10 @@ func raceTolerable(err error) bool {
 }
 
 // TestConcurrentCreateLookupUnlink races creates, lookups and unlinks of
-// overlapping names in one shared directory.
+// overlapping names in one shared directory: losers of a namespace race
+// see a clean ErrExist/ErrNotExist, the clients really do collide, and
+// every survivor is a whole file (linked, readable to its recorded
+// size) on an image that reaches the disk.
 func TestConcurrentCreateLookupUnlink(t *testing.T) {
 	fs := newCFFS(t, Options{EmbedInodes: true, Grouping: true, Mode: ModeDelayed})
 	dir, err := fs.Mkdir(fs.Root(), "shared")
@@ -76,18 +79,36 @@ func TestConcurrentCreateLookupUnlink(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if fails.Load() == 0 {
+		t.Fatal("no operation lost a namespace race; the clients are not actually racing")
+	}
+
 	// The directory must still be a consistent, fully readable tree.
 	ents, err := fs.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
-		if _, err := fs.Stat(e.Ino); err != nil {
+		st, err := fs.Stat(e.Ino)
+		if err != nil {
 			t.Fatalf("stat %s after race: %v", e.Name, err)
+		}
+		if st.Nlink == 0 {
+			t.Errorf("%s survives with zero links", e.Name)
+		}
+		if e.Name == "." || e.Name == ".." {
+			continue
+		}
+		buf := make([]byte, st.Size)
+		if n, err := fs.ReadAt(e.Ino, buf, 0); err != nil || int64(n) != st.Size {
+			t.Errorf("%s: read %d of %d bytes: %v", e.Name, n, st.Size, err)
 		}
 	}
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
+	}
+	if fs.dev.Disk().Stats().Requests == 0 {
+		t.Error("the run and its sync did no simulated disk work")
 	}
 	t.Logf("%d entries survive, %d conflicted ops", len(ents), fails.Load())
 }

@@ -35,12 +35,24 @@ const (
 type pathEnt struct {
 	ino   vfs.Ino
 	chain []vfs.Ino // every inode the resolution passed through, root included
+	seq   uint64    // the shard's insertion number: names this entry's fifo slot
+}
+
+// fifoSlot is one insertion in a shard's eviction order. A drop
+// (invalidation) leaves its slot behind; the slot is stale once entries
+// no longer holds that key under that seq.
+type fifoSlot struct {
+	key string
+	seq uint64
 }
 
 type pathShard struct {
 	mu      sync.Mutex
 	entries map[string]pathEnt
 	byIno   map[vfs.Ino]map[string]struct{}
+	fifo    []fifoSlot // fifo[head:] is the eviction order, oldest first
+	head    int
+	seq     uint64
 }
 
 type pathCache struct {
@@ -134,15 +146,15 @@ func (pc *pathCache) put(key string, ino vfs.Ino, chain []vfs.Ino) {
 		return
 	}
 	for len(s.entries) >= pc.perCap {
-		// Random-replacement eviction: map iteration order is as good a
-		// victim policy as this needs.
-		for victim := range s.entries {
-			s.dropLocked(victim)
-			pc.evicts.Inc()
-			break
-		}
+		// First-in first-out: the victim is a function of the insertion
+		// history alone, so a one-client run repeats on the simulated
+		// clock (map iteration order, the old policy, does not).
+		s.dropLocked(s.oldestLocked())
+		pc.evicts.Inc()
 	}
-	s.entries[key] = pathEnt{ino: ino, chain: chain}
+	s.seq++
+	s.entries[key] = pathEnt{ino: ino, chain: chain, seq: s.seq}
+	s.pushLocked(fifoSlot{key, s.seq})
 	for _, ci := range chain {
 		set := s.byIno[ci]
 		if set == nil {
@@ -152,6 +164,44 @@ func (pc *pathCache) put(key string, ino vfs.Ino, chain []vfs.Ino) {
 		set[key] = struct{}{}
 	}
 	pc.inserts.Inc()
+}
+
+// live reports whether sl still names a cached entry.
+func (s *pathShard) live(sl fifoSlot) bool {
+	e, ok := s.entries[sl.key]
+	return ok && e.seq == sl.seq
+}
+
+// oldestLocked pops slots until one is live and returns its key. Only
+// called with entries non-empty, and every entry has a slot, so the
+// queue cannot run dry first.
+func (s *pathShard) oldestLocked() string {
+	for {
+		sl := s.fifo[s.head]
+		s.fifo[s.head] = fifoSlot{}
+		s.head++
+		if s.live(sl) {
+			return sl.key
+		}
+	}
+}
+
+// pushLocked appends one slot. Before the slice would grow it is
+// compacted to its live slots, so it never holds more than twice the
+// shard's capacity however many invalidations leave slots behind.
+func (s *pathShard) pushLocked(sl fifoSlot) {
+	if len(s.fifo) == cap(s.fifo) {
+		n := 0
+		for _, old := range s.fifo[s.head:] {
+			if s.live(old) {
+				s.fifo[n] = old
+				n++
+			}
+		}
+		clear(s.fifo[n:])
+		s.fifo, s.head = s.fifo[:n], 0
+	}
+	s.fifo = append(s.fifo, sl)
 }
 
 // dropLocked removes one entry and its reverse-index links; the shard

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"cffs/internal/obs"
@@ -217,5 +219,60 @@ func TestPathCacheSpellings(t *testing.T) {
 		if got, err := vfs.Walk(fs, p); err != nil || got != fs.Root() {
 			t.Errorf("Walk(%q) = %#x, %v; want the root", p, uint64(got), err)
 		}
+	}
+}
+
+// Eviction is a function of the insertion history alone: two fresh
+// caches fed the same sequence — one shard filled past capacity twice,
+// with invalidations leaving stale queue slots in between — keep the
+// same survivors, the oldest inserted go first, and the queue stays
+// bounded however often it is refilled.
+func TestPathCacheEvictionDeterministic(t *testing.T) {
+	const perCap = 8
+	var keys []string // all in shard 0, so one shard sees every insert
+	for i := 0; len(keys) < 3*perCap; i++ {
+		if k := fmt.Sprintf("/d/f%04d", i); pathShardOf(k) == 0 {
+			keys = append(keys, k)
+		}
+	}
+	fill := func() (*pathCache, []string) {
+		pc := newPathCache(perCap*nPathShards, obs.NewRegistry())
+		for i, k := range keys {
+			pc.put(k, vfs.Ino(100+i), []vfs.Ino{RootIno, 2, vfs.Ino(100 + i)})
+			if i%5 == 4 { // drop the entry just inserted: its slot goes stale
+				pc.invalidate(vfs.Ino(100 + i))
+			}
+		}
+		s := &pc.shards[0]
+		if len(s.entries) != perCap {
+			t.Fatalf("shard holds %d entries, want %d", len(s.entries), perCap)
+		}
+		if cap(s.fifo) > 2*perCap {
+			t.Errorf("eviction queue grew to %d slots for a %d-entry shard", cap(s.fifo), perCap)
+		}
+		var live []string
+		for _, k := range keys {
+			if _, ok := pc.get(k); ok {
+				live = append(live, k)
+			}
+		}
+		return pc, live
+	}
+	pc, a := fill()
+	_, b := fill()
+	if !slices.Equal(a, b) {
+		t.Fatalf("same inserts, different survivors:\n %v\n %v", a, b)
+	}
+	var want []string // the newest perCap keys that were not invalidated
+	for i := len(keys) - 1; i >= 0 && len(want) < perCap; i-- {
+		if i%5 != 4 {
+			want = append([]string{keys[i]}, want...)
+		}
+	}
+	if !slices.Equal(a, want) {
+		t.Errorf("survivors %v, want the newest inserts %v", a, want)
+	}
+	if ev := pc.evicts.Value(); ev == 0 {
+		t.Error("no evictions recorded")
 	}
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"cffs/internal/blockio"
 	"cffs/internal/core"
 	"cffs/internal/disk"
+	"cffs/internal/obs"
 	"cffs/internal/sched"
 	"cffs/internal/sim"
 	"cffs/internal/srv"
@@ -26,6 +28,12 @@ type serviceStack struct {
 
 func newServiceStack(t *testing.T, qos srv.QoS, loads ...ServiceLoad) *serviceStack {
 	t.Helper()
+	return newServiceStackOn(t, qos, nil, loads...)
+}
+
+// newServiceStackOn mounts the file system on reg (which may be nil).
+func newServiceStackOn(t *testing.T, qos srv.QoS, reg *obs.Registry, loads ...ServiceLoad) *serviceStack {
+	t.Helper()
 	d, err := disk.NewMem(disk.SeagateST31200(), sim.NewClock())
 	if err != nil {
 		t.Fatal(err)
@@ -34,6 +42,7 @@ func newServiceStack(t *testing.T, qos srv.QoS, loads ...ServiceLoad) *serviceSt
 		EmbedInodes: true,
 		Grouping:    true,
 		Mode:        core.ModeDelayed,
+		Metrics:     reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,44 +65,81 @@ func newServiceStack(t *testing.T, qos srv.QoS, loads ...ServiceLoad) *serviceSt
 	return &serviceStack{fs: fs, s: s, lb: lb, cfg: qos}
 }
 
-// TestServiceDriver smoke-tests the driver: mixed loads complete with
-// zero errors, op counts add up, and the server drains its fid table.
+// TestServiceDriver smoke-tests the driver: loads complete with zero
+// errors, op counts add up, and the server drains its fid table. The
+// uniform row is the service at scale — 4 tenants x 128 loopback
+// sessions of small-file reads through pre-resolved fids — where the
+// steady state must stay in cache: the service-level form of the
+// paper's small-file claim, zero disk requests per read.
 func TestServiceDriver(t *testing.T) {
-	loads := []ServiceLoad{
-		{Tenant: "reads", Sessions: 6, Ops: 40, Kind: SvcRead, Dirs: 2, Files: 8},
-		{Tenant: "scans", Sessions: 4, Ops: 40, Kind: SvcScan, Dirs: 2, Files: 8},
-		{Tenant: "churn", Sessions: 4, Ops: 24, Kind: SvcCreate, Dirs: 2, Files: 4},
+	uniform := make([]ServiceLoad, 4)
+	for i := range uniform {
+		uniform[i] = ServiceLoad{Tenant: fmt.Sprintf("t%d", i), Sessions: 128, Ops: 40, Kind: SvcRead, Dirs: 8, Files: 32}
 	}
-	st := newServiceStack(t, srv.QoS{Workers: 4, FairShare: true}, loads...)
-	res, err := RunService(ServiceConfig{Dial: st.lb.Dial, Loads: loads})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalSessions() != 14 {
-		t.Fatalf("sessions = %d, want 14", res.TotalSessions())
-	}
-	for _, tr := range res.Tenants {
-		wantOps := int64(0)
-		for _, l := range loads {
-			if l.Tenant == tr.Tenant {
-				wantOps = int64(l.Sessions * l.Ops)
+	for _, tc := range []struct {
+		name    string
+		qos     srv.QoS
+		loads   []ServiceLoad
+		inCache bool // every readat served without a disk request
+		long    bool
+	}{
+		{name: "mixed", qos: srv.QoS{Workers: 4, FairShare: true}, loads: []ServiceLoad{
+			{Tenant: "reads", Sessions: 6, Ops: 40, Kind: SvcRead, Dirs: 2, Files: 8},
+			{Tenant: "scans", Sessions: 4, Ops: 40, Kind: SvcScan, Dirs: 2, Files: 8},
+			{Tenant: "churn", Sessions: 4, Ops: 24, Kind: SvcCreate, Dirs: 2, Files: 4},
+		}},
+		{name: "uniform-512", qos: srv.QoS{FairShare: true}, loads: uniform, inCache: true, long: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.long && testing.Short() {
+				t.Skip("512 sessions; skipped in -short")
 			}
-		}
-		if tr.Ops != wantOps {
-			t.Errorf("tenant %s: ops = %d, want %d", tr.Tenant, tr.Ops, wantOps)
-		}
-		if tr.Errors != 0 {
-			t.Errorf("tenant %s: %d op errors", tr.Tenant, tr.Errors)
-		}
-		if tr.Latency.Count != tr.Ops {
-			t.Errorf("tenant %s: %d latency samples for %d ops", tr.Tenant, tr.Latency.Count, tr.Ops)
-		}
-		if tr.P(0.99) <= 0 {
-			t.Errorf("tenant %s: p99 = %v", tr.Tenant, tr.P(0.99))
-		}
+			reg := obs.NewRegistry()
+			st := newServiceStackOn(t, tc.qos, reg, tc.loads...)
+			res, err := RunService(ServiceConfig{Dial: st.lb.Dial, Loads: tc.loads})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSessions := 0
+			for _, l := range tc.loads {
+				wantSessions += l.Sessions
+			}
+			if res.TotalSessions() != wantSessions {
+				t.Fatalf("sessions = %d, want %d", res.TotalSessions(), wantSessions)
+			}
+			if len(res.Tenants) != len(tc.loads) {
+				t.Fatalf("%d tenant results for %d loads", len(res.Tenants), len(tc.loads))
+			}
+			for _, tr := range res.Tenants {
+				wantOps := int64(0)
+				for _, l := range tc.loads {
+					if l.Tenant == tr.Tenant {
+						wantOps = int64(l.Sessions * l.Ops)
+					}
+				}
+				if tr.Ops != wantOps {
+					t.Errorf("tenant %s: ops = %d, want %d", tr.Tenant, tr.Ops, wantOps)
+				}
+				if tr.Errors != 0 {
+					t.Errorf("tenant %s: %d op errors", tr.Tenant, tr.Errors)
+				}
+				if tr.Latency.Count != tr.Ops {
+					t.Errorf("tenant %s: %d latency samples for %d ops", tr.Tenant, tr.Latency.Count, tr.Ops)
+				}
+				if tr.P(0.99) <= 0 {
+					t.Errorf("tenant %s: p99 = %v", tr.Tenant, tr.P(0.99))
+				}
+			}
+			if tc.inCache {
+				snap := reg.Snapshot()
+				if ops, reqs := snap.Counter("ops.readat"), snap.Counter("disk.requests.readat"); ops < 20000 || reqs != 0 {
+					t.Errorf("%d readat ops caused %d disk requests; want >= 20000 ops, all in cache", ops, reqs)
+				}
+			}
+			// All sessions closed: no fids may linger.
+			deadlineFids(t, st.s)
+		})
 	}
-	// All sessions closed: no fids may linger.
-	deadlineFids(t, st.s)
 }
 
 func deadlineFids(t *testing.T, s *srv.Server) {
