@@ -1,0 +1,5 @@
+//go:build !race
+
+package srv_test
+
+const raceEnabled = false

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"cffs/internal/vfs"
 )
@@ -182,7 +183,10 @@ var (
 	ErrLimit = errors.New("request limit exceeded")
 )
 
-var codeErrs = map[uint8]error{
+// codeErrs maps both ways, indexed by wire code. errCode scans it in
+// code order, so an error wrapping two sentinels always earns the lower
+// code (ranging over a map picked one at random).
+var codeErrs = [...]error{
 	codeNotExist:    vfs.ErrNotExist,
 	codeExist:       vfs.ErrExist,
 	codeNotDir:      vfs.ErrNotDir,
@@ -198,8 +202,8 @@ var codeErrs = map[uint8]error{
 }
 
 func errCode(err error) uint8 {
-	for code, sentinel := range codeErrs {
-		if errors.Is(err, sentinel) {
+	for code := codeOther + 1; int(code) < len(codeErrs); code++ {
+		if errors.Is(err, codeErrs[code]) {
 			return code
 		}
 	}
@@ -207,12 +211,15 @@ func errCode(err error) uint8 {
 }
 
 func codeErr(code uint8, ename string) error {
-	sentinel, ok := codeErrs[code]
-	if !ok {
+	if code == codeOther || int(code) >= len(codeErrs) {
 		return fmt.Errorf("srv: %s", ename)
 	}
-	return fmt.Errorf("srv: %s (%w)", ename, sentinel)
+	return fmt.Errorf("srv: %s (%w)", ename, codeErrs[code])
 }
+
+// maxEname bounds the message text of an Rerror, quoted names included,
+// so an Rerror fits the smallest msize whatever the request carried.
+const maxEname = 256
 
 // WireStat is the stat shape that crosses the wire.
 type WireStat struct {
@@ -291,6 +298,12 @@ type Fcall struct {
 // Err reconstructs the error an Rerror carries.
 func (f *Fcall) Err() error { return codeErr(f.Code, f.Ename) }
 
+// reset clears f for reuse as a frame of type t, keeping the arrays
+// behind Names and Ents.
+func (f *Fcall) reset(t MsgType, tag uint16) {
+	*f = Fcall{Type: t, Tag: tag, Names: f.Names[:0], Ents: f.Ents[:0]}
+}
+
 type encoder struct{ b []byte }
 
 func (e *encoder) u8(v uint8)   { e.b = append(e.b, v) }
@@ -309,8 +322,15 @@ func (e *encoder) str(s string) {
 	e.u16(uint16(len(s)))
 	e.b = append(e.b, s...)
 }
+
+// blob appends a length-prefixed payload; one that already sits where it
+// would be copied to (Server.read fills the reply frame) is adopted.
 func (e *encoder) blob(p []byte) {
 	e.u32(uint32(len(p)))
+	if n := len(e.b); len(p) > 0 && n+len(p) <= cap(e.b) && &p[0] == &e.b[:n+1][n] {
+		e.b = e.b[:n+len(p)]
+		return
+	}
 	e.b = append(e.b, p...)
 }
 func (e *encoder) stat(st WireStat) {
@@ -342,46 +362,39 @@ func (d *decoder) take(n int) []byte {
 	d.off += n
 	return p
 }
-func (d *decoder) u8() uint8 {
-	p := d.take(1)
-	if p == nil {
-		return 0
+
+// fixed is take for the scalar readers: a short body yields zeros.
+func (d *decoder) fixed(n int) []byte {
+	if p := d.take(n); p != nil {
+		return p
 	}
-	return p[0]
+	return zeros[:n]
 }
-func (d *decoder) u16() uint16 {
-	p := d.take(2)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(p)
-}
-func (d *decoder) u32() uint32 {
-	p := d.take(4)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(p)
-}
-func (d *decoder) u64() uint64 {
-	p := d.take(8)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(p)
-}
+
+var zeros [8]byte
+
+func (d *decoder) u8() uint8   { return d.fixed(1)[0] }
+func (d *decoder) u16() uint16 { return binary.LittleEndian.Uint16(d.fixed(2)) }
+func (d *decoder) u32() uint32 { return binary.LittleEndian.Uint32(d.fixed(4)) }
+func (d *decoder) u64() uint64 { return binary.LittleEndian.Uint64(d.fixed(8)) }
 func (d *decoder) i64() int64  { return int64(d.u64()) }
 func (d *decoder) bool() bool  { return d.u8() != 0 }
+
+// str copies: names cross into vfs.FileSystem, which may keep them.
 func (d *decoder) str() string { return string(d.take(int(d.u16()))) }
-func (d *decoder) blob() []byte {
-	n := d.u32()
-	p := d.take(int(n))
-	if p == nil {
-		return nil
+
+// blob is a view into the body: whoever owns the body owns the payload.
+func (d *decoder) blob() []byte { return d.take(int(d.u32())) }
+
+// count reads a u16 element count, refusing one the rest of the body
+// cannot hold at min bytes each: a lying count never sizes an allocation.
+func (d *decoder) count(min int) int {
+	n := int(d.u16())
+	if n*min > len(d.b)-d.off {
+		d.fail()
+		return 0
 	}
-	out := make([]byte, len(p))
-	copy(out, p)
-	return out
+	return n
 }
 func (d *decoder) stat() WireStat {
 	return WireStat{
@@ -403,9 +416,15 @@ func (d *decoder) done() error {
 	return nil
 }
 
-// Marshal renders the full frame, header included.
-func (f *Fcall) Marshal() ([]byte, error) {
-	e := &encoder{b: make([]byte, 0, 64+len(f.Data))}
+// wireEntBytes is one Rreaddir entry less its name: ino, type, length.
+const wireEntBytes = 11
+
+// appendFcall, the only encoder, appends f's frame (header included) to
+// dst: a connection's recycled buffer, or WriteFcall's fresh one. A
+// frame over msize is an error; msize 0 means unchecked.
+func appendFcall(dst []byte, f *Fcall, msize uint32) ([]byte, error) {
+	start := len(dst)
+	e := encoder{b: dst}
 	e.u32(0) // size backpatched below
 	e.u8(uint8(f.Type))
 	e.u16(f.Tag)
@@ -483,16 +502,22 @@ func (f *Fcall) Marshal() ([]byte, error) {
 		e.u8(f.Code)
 		e.str(f.Ename)
 	default:
-		return nil, fmt.Errorf("marshal %v: %w", f.Type, ErrProto)
+		return dst, fmt.Errorf("marshal %v: %w", f.Type, ErrProto)
 	}
-	binary.LittleEndian.PutUint32(e.b, uint32(len(e.b)))
+	size := uint32(len(e.b) - start)
+	if msize > 0 && size > msize {
+		return e.b, fmt.Errorf("frame %v size %d exceeds msize %d: %w", f.Type, size, msize, ErrProto)
+	}
+	binary.LittleEndian.PutUint32(e.b[start:], size)
 	return e.b, nil
 }
 
-// UnmarshalBody parses the body (everything after the 7-byte header)
-// into f, whose Type and Tag the caller already read.
-func (f *Fcall) UnmarshalBody(body []byte) error {
-	d := &decoder{b: body}
+// decodeBody, the only decoder, parses body (everything after the
+// header) into f, whose Type the caller set and whose other fields are
+// zero (reset). f.Data is a view into body, so f is valid only while body
+// is left alone; every string is a copy.
+func decodeBody(f *Fcall, body []byte) error {
+	d := decoder{b: body}
 	switch f.Type {
 	case Tversion, Rversion:
 		f.Msize = d.u32()
@@ -505,16 +530,12 @@ func (f *Fcall) UnmarshalBody(body []byte) error {
 	case Twalk:
 		f.Fid = d.u32()
 		f.NewFid = d.u32()
-		n := int(d.u16())
-		if n > 0 && d.err == nil {
-			if n > len(body) { // each name costs >= 2 bytes; cheap pre-check
-				d.fail()
-			} else {
-				f.Names = make([]string, 0, n)
-				for i := 0; i < n && d.err == nil; i++ {
-					f.Names = append(f.Names, d.str())
-				}
-			}
+		n := d.count(2)
+		if cap(f.Names) < n {
+			f.Names = make([]string, 0, n)
+		}
+		for i := 0; i < n && d.err == nil; i++ {
+			f.Names = append(f.Names, d.str())
 		}
 	case Rwalk:
 		f.Ino = d.u64()
@@ -554,20 +575,20 @@ func (f *Fcall) UnmarshalBody(body []byte) error {
 		f.Off = d.i64()
 	case Rreaddir:
 		f.More = d.bool()
-		n := int(d.u16())
-		if n > 0 && d.err == nil {
-			if n > len(body) {
-				d.fail()
-			} else {
-				f.Ents = make([]WireDirEnt, 0, n)
-				for i := 0; i < n && d.err == nil; i++ {
-					f.Ents = append(f.Ents, WireDirEnt{
-						Ino:  d.u64(),
-						Type: d.u8(),
-						Name: d.str(),
-					})
-				}
-			}
+		n := d.count(wireEntBytes)
+		if cap(f.Ents) < n {
+			f.Ents = make([]WireDirEnt, 0, n)
+		}
+		// One string holds the page and each entry slices its name out
+		// of it (core's ReadDir idiom): one allocation, not one per name.
+		base, page := d.off, ""
+		if n > 0 {
+			page = string(body[base:])
+		}
+		for i := 0; i < n && d.err == nil; i++ {
+			ino, typ := d.u64(), d.u8()
+			name := d.take(int(d.u16()))
+			f.Ents = append(f.Ents, WireDirEnt{Ino: ino, Type: typ, Name: page[d.off-len(name)-base : d.off-base]})
 		}
 	case Tunlink:
 		f.Fid = d.u32()
@@ -588,49 +609,86 @@ func (f *Fcall) UnmarshalBody(body []byte) error {
 	return d.done()
 }
 
-// WriteFcall marshals f and writes the frame in one Write call, which
-// keeps frames from interleaving when callers serialize on a mutex
-// rather than the writer.
-func WriteFcall(w io.Writer, f *Fcall, msize uint32) error {
-	frame, err := f.Marshal()
-	if err != nil {
-		return err
-	}
-	if msize > 0 && uint32(len(frame)) > msize {
-		return fmt.Errorf("frame %v size %d exceeds msize %d: %w", f.Type, len(frame), msize, ErrProto)
-	}
-	_, err = w.Write(frame)
-	return err
-}
+// known reports whether decodeBody can parse t. A well-formed frame of
+// any other type is recoverable: the server answers Rerror and carries on.
+func (t MsgType) known() bool { return t > msgInvalid && t < msgMax }
 
-// ReadFcall reads one frame. Frame-level damage — a size below the
-// header, a size beyond msize, a short read — is unrecoverable because
-// stream sync is lost, so it returns an error and the caller must drop
-// the connection. An unknown message *type* inside a well-formed frame
-// is recoverable and is reported via Fcall with Type preserved; the
-// caller decides (the server answers Rerror and keeps the connection).
-func ReadFcall(r io.Reader, msize uint32) (*Fcall, error) {
-	var hdr [headerBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// readHeader reads one frame header into hdr (the caller's scratch, so
+// none escapes per frame) and returns the frame's type, tag and body
+// length. Frame-level damage — a size below the header or beyond msize, a
+// short read — loses stream sync: the caller must drop the connection.
+func readHeader(r io.Reader, hdr []byte, msize uint32) (MsgType, uint16, int, error) {
+	if _, err := io.ReadFull(r, hdr[:headerBytes]); err != nil {
+		return 0, 0, 0, err
 	}
-	size := binary.LittleEndian.Uint32(hdr[:4])
+	size := binary.LittleEndian.Uint32(hdr)
 	if size < headerBytes {
-		return nil, fmt.Errorf("frame size %d below header: %w", size, ErrProto)
+		return 0, 0, 0, fmt.Errorf("frame size %d below header: %w", size, ErrProto)
 	}
 	if msize == 0 {
 		msize = MaxMsize
 	}
 	if size > msize {
-		return nil, fmt.Errorf("frame size %d exceeds msize %d: %w", size, msize, ErrProto)
+		return 0, 0, 0, fmt.Errorf("frame size %d exceeds msize %d: %w", size, msize, ErrProto)
 	}
-	f := &Fcall{Type: MsgType(hdr[4]), Tag: binary.LittleEndian.Uint16(hdr[5:7])}
-	body := make([]byte, size-headerBytes)
+	return MsgType(hdr[4]), binary.LittleEndian.Uint16(hdr[5:]), int(size - headerBytes), nil
+}
+
+// keepBytes is the largest buffer a connection keeps between frames:
+// buffers grow (slices.Grow) to the frames they carry, never to msize
+// ahead of them, and one grown past this is dropped on release.
+const keepBytes = 64 << 10
+
+// poisonRecycled (tests only): a use after release reads 0xDB, not luck.
+var poisonRecycled bool
+
+// recycled readies a released buffer for its next frame.
+func recycled(buf []byte) []byte {
+	if cap(buf) > keepBytes {
+		return nil
+	}
+	if poisonRecycled {
+		buf = buf[:cap(buf)]
+		for i := range buf {
+			buf[i] = 0xDB
+		}
+	}
+	return buf[:0]
+}
+
+// WriteFcall marshals f and writes the frame in one Write call, which
+// keeps frames from interleaving when callers serialize on a mutex
+// rather than the writer.
+func WriteFcall(w io.Writer, f *Fcall, msize uint32) error {
+	frame, err := appendFcall(make([]byte, 0, 64+len(f.Data)), f, msize)
+	if err == nil {
+		_, err = w.Write(frame)
+	}
+	return err
+}
+
+// ReadFcall reads one frame into a fresh Fcall that owns its body (Data
+// is a view into it). Frame-level damage is an error (see readHeader);
+// an unknown message *type* inside a well-formed frame is reported via
+// Fcall with Type preserved, for the caller to decide.
+func ReadFcall(r io.Reader, msize uint32) (*Fcall, error) {
+	// The header scratch and a small body share the Fcall's allocation.
+	u := new(struct {
+		f     Fcall
+		hdr   [headerBytes]byte
+		small [64 - headerBytes]byte
+	})
+	typ, tag, n, err := readHeader(r, u.hdr[:], msize)
+	if err != nil {
+		return nil, err
+	}
+	body := slices.Grow(u.small[:0], n)[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}
-	if f.Type == msgInvalid || f.Type >= msgMax {
-		return f, nil // recoverable: caller answers Rerror
+	u.f.Type, u.f.Tag = typ, tag
+	if !typ.known() {
+		return &u.f, nil
 	}
-	return f, f.UnmarshalBody(body)
+	return &u.f, decodeBody(&u.f, body)
 }

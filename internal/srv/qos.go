@@ -112,13 +112,40 @@ func (b *bucket) wait() time.Duration {
 	}
 }
 
-// request is one queued operation: parsed, tagged, admitted, waiting
-// for a worker.
+// request is one queued operation: parsed into its unit, tagged,
+// admitted, waiting for a worker.
 type request struct {
 	c     *conn
 	t     *tenant
-	f     *Fcall
+	u     *unit
 	start time.Time
+}
+
+// reqRing is a FIFO of requests that keeps its array when it drains, so
+// a queue that empties between requests — the steady state of a
+// closed-loop client — is not re-grown from nil on every enqueue.
+type reqRing struct {
+	buf  []request
+	head int
+	n    int
+}
+
+func (q *reqRing) push(r request) {
+	if q.n == len(q.buf) {
+		grown := make([]request, max(8, 2*len(q.buf)))
+		copy(grown[copy(grown, q.buf[q.head:]):], q.buf[:q.head])
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = r
+	q.n++
+}
+
+func (q *reqRing) pop() request {
+	r := q.buf[q.head]
+	q.buf[q.head] = request{} // the ring must not pin a served unit
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return r
 }
 
 // dispatcher moves requests from per-tenant queues to the worker pool.
@@ -127,7 +154,7 @@ type dispatcher struct {
 	cond   *sync.Cond
 	fair   bool
 	cap    int
-	fifo   []request // fair == false: one shared queue
+	fifo   reqRing   // fair == false: one shared queue
 	ring   []*tenant // fair == true: tenants with pending work
 	next   int       // ring scan position
 	closed bool
@@ -148,21 +175,18 @@ func (d *dispatcher) enqueue(r request) bool {
 	if d.closed {
 		return false
 	}
+	q := &d.fifo
 	if d.fair {
-		if len(r.t.pending) >= d.cap {
-			return false
-		}
-		if len(r.t.pending) == 0 && !r.t.inRing {
-			d.ring = append(d.ring, r.t)
-			r.t.inRing = true
-		}
-		r.t.pending = append(r.t.pending, r)
-	} else {
-		if len(d.fifo) >= d.cap {
-			return false
-		}
-		d.fifo = append(d.fifo, r)
+		q = &r.t.pending
 	}
+	if q.n >= d.cap {
+		return false
+	}
+	if d.fair && !r.t.inRing {
+		d.ring = append(d.ring, r.t)
+		r.t.inRing = true
+	}
+	q.push(r)
 	r.t.m.queueDepth.Add(1)
 	d.cond.Signal()
 	return true
@@ -180,13 +204,11 @@ func (d *dispatcher) dequeue() (request, bool) {
 					d.next = 0
 				}
 				t := d.ring[d.next]
-				if len(t.pending) > 0 {
-					r := t.pending[0]
-					t.pending = t.pending[1:]
-					if len(t.pending) == 0 {
+				if t.pending.n > 0 {
+					r := t.pending.pop()
+					if t.pending.n == 0 {
 						d.ring = append(d.ring[:d.next], d.ring[d.next+1:]...)
 						t.inRing = false
-						t.pending = nil // release backing array
 					} else {
 						d.next++
 					}
@@ -195,12 +217,8 @@ func (d *dispatcher) dequeue() (request, bool) {
 				}
 				d.next++
 			}
-		} else if len(d.fifo) > 0 {
-			r := d.fifo[0]
-			d.fifo = d.fifo[1:]
-			if len(d.fifo) == 0 {
-				d.fifo = nil
-			}
+		} else if d.fifo.n > 0 {
+			r := d.fifo.pop()
 			r.t.m.queueDepth.Add(-1)
 			return r, true
 		}
@@ -236,13 +254,12 @@ func (d *dispatcher) run(workers int, handle func(request)) {
 func (d *dispatcher) close() {
 	d.mu.Lock()
 	d.closed = true
-	for _, r := range d.fifo {
-		r.t.m.queueDepth.Add(-1)
+	for d.fifo.n > 0 {
+		d.fifo.pop().t.m.queueDepth.Add(-1)
 	}
-	d.fifo = nil
 	for _, t := range d.ring {
-		t.m.queueDepth.Add(int64(-len(t.pending)))
-		t.pending = nil
+		t.m.queueDepth.Add(int64(-t.pending.n))
+		t.pending = reqRing{}
 		t.inRing = false
 	}
 	d.ring, d.next = nil, 0

@@ -56,12 +56,12 @@ func TestDispatcherFairShare(t *testing.T) {
 	d := newDispatcher(true, 1000)
 	agg, vic := mkTenant("agg"), mkTenant("vic")
 	for i := 0; i < 100; i++ {
-		if !d.enqueue(request{t: agg, f: &Fcall{Tag: uint16(i)}}) {
+		if !d.enqueue(request{t: agg, u: &unit{}}) {
 			t.Fatal("aggressor enqueue refused")
 		}
 	}
 	for i := 0; i < 2; i++ {
-		if !d.enqueue(request{t: vic, f: &Fcall{Tag: uint16(1000 + i)}}) {
+		if !d.enqueue(request{t: vic, u: &unit{}}) {
 			t.Fatal("victim enqueue refused")
 		}
 	}
@@ -82,9 +82,9 @@ func TestDispatcherFairShare(t *testing.T) {
 	// FIFO mode: the victim waits behind the full burst.
 	d2 := newDispatcher(false, 1000)
 	for i := 0; i < 100; i++ {
-		d2.enqueue(request{t: agg, f: &Fcall{}})
+		d2.enqueue(request{t: agg, u: &unit{}})
 	}
-	d2.enqueue(request{t: vic, f: &Fcall{}})
+	d2.enqueue(request{t: vic, u: &unit{}})
 	for i := 0; i < 100; i++ {
 		if r, _ := d2.dequeue(); r.t != agg {
 			t.Fatalf("fifo position %d served %s, want agg", i, r.t.name)
@@ -101,14 +101,14 @@ func TestDispatcherQueueCap(t *testing.T) {
 	d := newDispatcher(true, 3)
 	agg, vic := mkTenant("agg"), mkTenant("vic")
 	for i := 0; i < 3; i++ {
-		if !d.enqueue(request{t: agg, f: &Fcall{}}) {
+		if !d.enqueue(request{t: agg, u: &unit{}}) {
 			t.Fatal("within-cap enqueue refused")
 		}
 	}
-	if d.enqueue(request{t: agg, f: &Fcall{}}) {
+	if d.enqueue(request{t: agg, u: &unit{}}) {
 		t.Fatal("over-cap enqueue accepted")
 	}
-	if !d.enqueue(request{t: vic, f: &Fcall{}}) {
+	if !d.enqueue(request{t: vic, u: &unit{}}) {
 		t.Fatal("victim enqueue refused while aggressor full")
 	}
 	if got := agg.m.queueDepth.Value(); got != 3 {

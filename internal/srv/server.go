@@ -1,10 +1,14 @@
 package srv
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,7 +52,7 @@ type tenant struct {
 	bkt  *bucket
 
 	// dispatcher state, guarded by dispatcher.mu
-	pending []request
+	pending reqRing
 	inRing  bool
 
 	m tenantMetrics
@@ -84,22 +88,7 @@ var latencyGroups = []string{"read", "write", "readdir", "other"}
 func newTenantMetrics(r *obs.Registry, name string) tenantMetrics {
 	var m tenantMetrics
 	if r == nil {
-		// Zero-value obs instruments are usable, so a nil registry just
-		// means unregistered throwaways.
-		m.errs = &obs.Counter{}
-		m.qosRejects = &obs.Counter{}
-		m.sessions = &obs.Gauge{}
-		m.fids = &obs.Gauge{}
-		m.queueDepth = &obs.Gauge{}
-		m.qosWait = &obs.Histogram{}
-		m.latency = map[string]*obs.Histogram{}
-		for _, g := range latencyGroups {
-			m.latency[g] = &obs.Histogram{}
-		}
-		for t := MsgType(0); t < msgMax; t++ {
-			m.reqs[t] = &obs.Counter{}
-		}
-		return m
+		r = obs.NewRegistry() // a private one: the instruments must still count
 	}
 	m.errs = r.Counter(obs.Name("srv.errors", "tenant", name))
 	m.qosRejects = r.Counter(obs.Name("srv.qos.rejects", "tenant", name))
@@ -299,24 +288,56 @@ type conn struct {
 
 	// msize is this connection's negotiated frame limit — the server
 	// cap until Tversion succeeds, then whatever Rversion advertised.
-	// The reader enforces it on inbound frames and the read/readdir
-	// budgets keep responses under it; atomic because workers read it
-	// while the reader may renegotiate.
+	// The reader enforces it on inbound frames, write on outbound ones,
+	// and the read/readdir budgets keep responses under it; atomic
+	// because workers read it while the reader may renegotiate.
 	msize atomic.Uint32
 
 	wmu sync.Mutex // frame writes
 
 	mu     sync.Mutex
-	fids   map[uint32]*fid
+	fids   map[uint32]fid
 	tags   map[uint16]struct{}
+	free   []*unit // recycled request units, at most maxFreeUnits
 	closed bool
+
+	// reader-goroutine state
+	hdr [headerBytes]byte
+	cur *unit // the unit the next frame is read into
+}
+
+// unit is one request's memory, with one owner at a time (DESIGN.md
+// section 17): the reader decodes body into req (req.Data is a view, so a
+// Twrite payload is never copied), a worker's handler fills resp, write
+// encodes resp into frame, and only when that write has returned does
+// reply put the unit on the connection's free list.
+type unit struct {
+	req   Fcall
+	body  []byte
+	resp  Fcall
+	frame []byte
+}
+
+// maxFreeUnits keeps one deep pipeline from pinning thousands of buffers.
+const maxFreeUnits = 32
+
+// rreadData is where an Rread payload starts: header, then u32 count.
+const rreadData = headerBytes + 4
+
+// fail makes the unit's answer the Rerror for err.
+func (u *unit) fail(err error) {
+	u.resp.reset(Rerror, u.req.Tag)
+	u.resp.Code, u.resp.Ename = errCode(err), err.Error()
+	if len(u.resp.Ename) > maxEname {
+		u.resp.Ename = u.resp.Ename[:maxEname-3] + "..."
+	}
 }
 
 func (s *Server) newConn(nc net.Conn) *conn {
 	c := &conn{
 		s:    s,
 		nc:   nc,
-		fids: make(map[uint32]*fid),
+		fids: make(map[uint32]fid),
 		tags: make(map[uint16]struct{}),
 	}
 	c.msize.Store(s.msize)
@@ -339,14 +360,10 @@ func (c *conn) teardown() {
 	}
 	c.closed = true
 	fids := c.fids
-	c.fids = make(map[uint32]*fid)
+	c.fids = make(map[uint32]fid)
 	c.mu.Unlock()
 	for _, f := range fids {
-		c.s.nfids.Add(-1)
-		f.t.m.fids.Add(-1)
-		if f.isRoot {
-			f.t.m.sessions.Add(-1)
-		}
+		c.s.dropFid(f)
 	}
 	c.nc.Close()
 	c.s.mu.Lock()
@@ -354,168 +371,184 @@ func (c *conn) teardown() {
 	c.s.mu.Unlock()
 }
 
-// readLoop parses frames and routes them. Any framing error — short
-// read, bad size — loses stream sync, so the connection dies and
-// teardown releases its fids.
-func (c *conn) readLoop() {
-	defer c.teardown()
-	for {
-		f, err := ReadFcall(c.nc, c.msize.Load())
-		if err != nil {
-			return
-		}
-		if !c.route(f) {
-			return
-		}
+// dropFid settles the gauges for a fid that left its table.
+func (s *Server) dropFid(f fid) {
+	s.nfids.Add(-1)
+	f.t.m.fids.Add(-1)
+	if f.isRoot {
+		f.t.m.sessions.Add(-1)
 	}
 }
 
-// route handles one parsed frame on the reader goroutine, returning
-// false to drop the connection.
-func (c *conn) route(f *Fcall) bool {
-	switch f.Type {
-	case Tversion, Tattach, Tclunk:
+// readLoop reads frames into units and routes them. Through the
+// bufio.Reader a small frame is one Read of the transport, not one each
+// for header and body (on a net.Pipe, two rendezvous). Any framing error
+// — short read, bad size, a body whose fields lie — loses stream sync, so
+// the connection dies and teardown releases its fids.
+func (c *conn) readLoop() {
+	defer c.teardown()
+	br := bufio.NewReader(c.nc)
+	for {
+		if c.cur == nil {
+			c.cur = new(unit)
+		}
+		u := c.cur
+		typ, tag, n, err := readHeader(br, c.hdr[:], c.msize.Load())
+		if err != nil {
+			return
+		}
+		u.body = slices.Grow(u.body[:0], n)[:n]
+		if _, err := io.ReadFull(br, u.body); err != nil {
+			return
+		}
+		u.req.reset(typ, tag)
+		if typ.known() && decodeBody(&u.req, u.body) != nil {
+			return
+		}
+		c.route(u)
+	}
+}
+
+// route handles one frame on the reader goroutine, answering what it
+// answers itself from the reader's unit; only admit gives that away.
+func (c *conn) route(u *unit) {
+	f := &u.req
+	switch {
+	case readerOps[f.Type] != nil:
 		// These execute synchronously on the reader, but their tags
 		// still pass through the in-flight table: a client reusing a
 		// tag held by a queued worker op must be refused here just as
 		// in admit, or two responses race on one tag.
-		if !c.reserveTag(f.Tag) {
-			c.sendErr(f.Tag, fmt.Errorf("tag %d already in flight: %w", f.Tag, ErrProto))
-			return true
+		c.mu.Lock()
+		_, dup := c.tags[f.Tag]
+		c.tags[f.Tag] = struct{}{}
+		c.mu.Unlock()
+		if dup {
+			c.sendErr(u, fmt.Errorf("tag %d already in flight: %w", f.Tag, ErrProto))
+			return
 		}
-		var resp *Fcall
-		switch f.Type {
-		case Tversion:
-			resp = c.version(f)
-		case Tattach:
-			resp = c.attach(f)
-		case Tclunk:
-			resp = c.clunk(f)
+		u.resp.reset(f.Type+1, f.Tag)
+		if err := readerOps[f.Type](c, u); err != nil {
+			u.fail(err)
 		}
-		c.reply(f.Tag, resp)
-		return true
-	case Twalk, Topen, Tcreate, Tmkdir, Tread, Twrite, Tstat, Treaddir, Tunlink, Trename, Tfsync:
-		return c.admit(f)
+		c.write(u, true)
+	case handlers[f.Type] != nil:
+		c.admit(u)
 	default:
 		// Well-formed frame, nonsense type (or a client sending
 		// R-messages): answer and keep the stream.
-		c.sendErr(f.Tag, fmt.Errorf("unexpected message %v: %w", f.Type, ErrProto))
-		return true
+		c.sendErr(u, fmt.Errorf("unexpected message %v: %w", f.Type, ErrProto))
 	}
 }
+
+// readerOps are the requests the reader serves itself. Both tables span
+// every MsgType value, so a frame's type indexes them unchecked.
+var readerOps = [256]func(*conn, *unit) error{Tversion: (*conn).version, Tattach: (*conn).attach, Tclunk: (*conn).clunk}
 
 // version negotiates the protocol revision and this connection's frame
 // limit. The negotiated msize only takes effect on success — a client
 // answered "unknown" is expected to hang up, not renegotiate framing.
-func (c *conn) version(f *Fcall) *Fcall {
-	msize := f.Msize
-	if msize == 0 || msize > c.s.msize {
-		msize = c.s.msize
+func (c *conn) version(u *unit) error {
+	msize := c.s.msize
+	if u.req.Msize != 0 {
+		msize = max(MinMsize, min(u.req.Msize, msize))
 	}
-	if msize < MinMsize {
-		msize = MinMsize
+	u.resp.Msize, u.resp.Version = msize, "unknown"
+	if u.req.Version == Version {
+		c.msize.Store(msize)
+		u.resp.Version = Version
 	}
-	if f.Version != Version {
-		return &Fcall{Type: Rversion, Msize: msize, Version: "unknown"}
-	}
-	c.msize.Store(msize)
-	return &Fcall{Type: Rversion, Msize: msize, Version: Version}
+	return nil
 }
 
-func (c *conn) attach(f *Fcall) *Fcall {
+func (c *conn) attach(u *unit) error {
 	c.s.mu.Lock()
-	t := c.s.tenants[f.Tenant]
+	t := c.s.tenants[u.req.Tenant]
 	c.s.mu.Unlock()
 	if t == nil {
-		return rerror(fmt.Errorf("unknown tenant %q: %w", f.Tenant, ErrPerm))
+		return fmt.Errorf("unknown tenant %q: %w", u.req.Tenant, ErrPerm)
 	}
-	if !c.installFid(f.Fid, &fid{t: t, ino: t.root, isRoot: true}) {
-		return rerror(fmt.Errorf("fid %d in use: %w", f.Fid, ErrProto))
+	if !c.installFid(u.req.Fid, fid{t: t, ino: t.root, isRoot: true}) {
+		return fmt.Errorf("fid %d in use: %w", u.req.Fid, ErrProto)
 	}
 	t.m.reqs[Tattach].Inc()
 	t.m.sessions.Add(1)
-	return &Fcall{Type: Rattach, Ino: uint64(t.root)}
+	u.resp.Ino = uint64(t.root)
+	return nil
 }
 
-func (c *conn) clunk(f *Fcall) *Fcall {
+func (c *conn) clunk(u *unit) error {
 	c.mu.Lock()
-	fd, ok := c.fids[f.Fid]
-	if ok {
-		delete(c.fids, f.Fid)
-	}
+	fd, ok := c.fids[u.req.Fid]
+	delete(c.fids, u.req.Fid)
 	c.mu.Unlock()
 	if !ok {
-		return rerror(fmt.Errorf("clunk of unknown fid %d: %w", f.Fid, ErrProto))
+		return fmt.Errorf("clunk of unknown fid %d: %w", u.req.Fid, ErrProto)
 	}
-	c.s.nfids.Add(-1)
-	fd.t.m.fids.Add(-1)
-	if fd.isRoot {
-		fd.t.m.sessions.Add(-1)
-	}
-	return &Fcall{Type: Rclunk}
+	c.s.dropFid(fd)
+	return nil
 }
 
 // admit runs the QoS front half on the reader goroutine: resolve the
 // tenant, reserve the tag, pay the token bucket (blocking the reader is
-// the backpressure), and queue for dispatch.
-func (c *conn) admit(f *Fcall) bool {
+// the backpressure), and queue for dispatch. The critical section that
+// reserves the tag also takes the reader's next unit off the free list.
+func (c *conn) admit(u *unit) {
+	f := &u.req
 	c.mu.Lock()
-	fd := c.fids[f.Fid]
-	if fd == nil {
-		c.mu.Unlock()
-		c.sendErr(f.Tag, fmt.Errorf("unknown fid %d: %w", f.Fid, ErrProto))
-		return true
+	fd, ok := c.fids[f.Fid]
+	_, dup := c.tags[f.Tag]
+	if ok && !dup {
+		c.tags[f.Tag] = struct{}{}
+		c.cur = nil
+		if n := len(c.free); n > 0 {
+			c.cur, c.free = c.free[n-1], c.free[:n-1]
+		}
 	}
-	t := fd.t
-	if _, dup := c.tags[f.Tag]; dup {
-		c.mu.Unlock()
+	c.mu.Unlock()
+	if !ok {
+		c.sendErr(u, fmt.Errorf("unknown fid %d: %w", f.Fid, ErrProto))
+		return
+	}
+	if dup {
 		// A duplicate in-flight tag means the client's bookkeeping is
 		// broken; executing the request would let two responses race
 		// for one tag. Refuse without executing.
-		c.sendErr(f.Tag, fmt.Errorf("tag %d already in flight: %w", f.Tag, ErrProto))
-		return true
+		c.sendErr(u, fmt.Errorf("tag %d already in flight: %w", f.Tag, ErrProto))
+		return
 	}
-	c.tags[f.Tag] = struct{}{}
-	c.mu.Unlock()
+	t := fd.t
 
 	if waited := t.bkt.wait(); waited > 0 {
 		t.m.qosWait.Record(int64(waited))
 	}
 	t.m.reqs[f.Type].Inc()
-	if !c.s.disp.enqueue(request{c: c, t: t, f: f, start: time.Now()}) {
+	if !c.s.disp.enqueue(request{c: c, t: t, u: u, start: time.Now()}) {
 		t.m.qosRejects.Inc()
-		c.reply(f.Tag, rerror(fmt.Errorf("tenant %q queue full: %w", t.name, ErrLimit)))
+		u.fail(fmt.Errorf("tenant %q queue full: %w", t.name, ErrLimit))
+		c.reply(u)
 	}
-	return true
-}
-
-// reserveTag marks tag in flight, reporting false when the client
-// already has it in flight (the caller answers without executing).
-func (c *conn) reserveTag(tag uint16) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.tags[tag]; dup {
-		return false
-	}
-	c.tags[tag] = struct{}{}
-	return true
 }
 
 // serveRequest is the worker side: execute against the fs and reply,
-// which retires the tag.
+// which retires the tag and releases the unit.
 func (s *Server) serveRequest(r request) {
-	s.tctx.push(&r.t.name)
-	resp := s.handle(r.c, r.t, r.f)
-	s.tctx.pop()
-	r.t.m.latency[latencyGroup(r.f.Type)].Record(time.Since(r.start).Nanoseconds())
-	if resp.Type == Rerror {
-		r.t.m.errs.Inc()
+	u := r.u
+	u.resp.reset(u.req.Type+1, u.req.Tag)
+	var err error
+	if fd, ok := r.c.fidRef(u.req.Fid); ok {
+		s.tctx.push(&r.t.name)
+		err = handlers[u.req.Type](s, r.c, fd, u)
+		s.tctx.pop()
+	} else {
+		err = fmt.Errorf("%v of unknown fid %d: %w", u.req.Type, u.req.Fid, ErrProto)
 	}
-	r.c.reply(r.f.Tag, resp)
-}
-
-func rerror(err error) *Fcall {
-	return &Fcall{Type: Rerror, Code: errCode(err), Ename: err.Error()}
+	r.t.m.latency[latencyGroup(u.req.Type)].Record(time.Since(r.start).Nanoseconds())
+	if err != nil {
+		r.t.m.errs.Inc()
+		u.fail(err)
+	}
+	r.c.reply(u)
 }
 
 // fidRef snapshots a fid's fields under the conn lock; the vfs call
@@ -523,16 +556,13 @@ func rerror(err error) *Fcall {
 func (c *conn) fidRef(id uint32) (fid, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	f := c.fids[id]
-	if f == nil {
-		return fid{}, false
-	}
-	return *f, true
+	f, ok := c.fids[id]
+	return f, ok
 }
 
 // installFid binds a new fid id, refusing ids already in use (and the
 // reserved NoFid).
-func (c *conn) installFid(id uint32, f *fid) bool {
+func (c *conn) installFid(id uint32, f fid) bool {
 	if id == NoFid {
 		return false
 	}
@@ -550,36 +580,17 @@ func (c *conn) installFid(id uint32, f *fid) bool {
 	return true
 }
 
-func (s *Server) handle(c *conn, t *tenant, f *Fcall) *Fcall {
-	switch f.Type {
-	case Twalk:
-		return s.walk(c, t, f)
-	case Topen:
-		return s.open(c, f)
-	case Tcreate:
-		return s.create(c, t, f)
-	case Tmkdir:
-		return s.mkdir(c, f)
-	case Tread:
-		return s.read(c, f)
-	case Twrite:
-		return s.write(c, f)
-	case Tstat:
-		return s.stat(c, f)
-	case Treaddir:
-		return s.readdir(c, f)
-	case Tunlink:
-		return s.unlink(c, f)
-	case Trename:
-		return s.rename(c, t, f)
-	case Tfsync:
-		if err := s.fs.Sync(); err != nil {
-			return rerror(err)
-		}
-		return &Fcall{Type: Rfsync}
-	}
-	return rerror(fmt.Errorf("unhandled %v: %w", f.Type, ErrProto))
+// handlers are the requests that go through admission to a worker. A
+// handler gets the operand fid as it stands when the request runs, and
+// fills u.resp (already reset to the R-type) or returns the Rerror's cause.
+var handlers = [256]func(*Server, *conn, fid, *unit) error{
+	Twalk: (*Server).walk, Topen: (*Server).open, Tcreate: (*Server).create,
+	Tmkdir: (*Server).mkdir, Tread: (*Server).read, Twrite: (*Server).write,
+	Tstat: (*Server).stat, Treaddir: (*Server).readdir, Tunlink: (*Server).unlink,
+	Trename: (*Server).rename, Tfsync: (*Server).fsync,
 }
+
+func (s *Server) fsync(*conn, fid, *unit) error { return s.fs.Sync() }
 
 // walk resolves path components relative to an existing fid, binding
 // the result to NewFid. ".." stops at the tenant root: a fid can name
@@ -593,57 +604,53 @@ func (s *Server) handle(c *conn, t *tenant, f *Fcall) *Fcall {
 // slip past the root into other tenants. Since same-tenant renames are
 // the only renames the server permits, every fid's ino stays inside
 // its tenant's subtree, and any ascent out of the subtree has to pass
-// through the root ino — where it is refused.
-func (s *Server) walk(c *conn, t *tenant, f *Fcall) *Fcall {
-	src, ok := c.fidRef(f.Fid)
-	if !ok {
-		return rerror(fmt.Errorf("walk from unknown fid %d: %w", f.Fid, ErrProto))
-	}
+// through the root ino — where it is refused. (The root of the tenant src
+// is bound to now: a fid id can be re-attached after admission.)
+func (s *Server) walk(c *conn, src fid, u *unit) error {
+	f := &u.req
 	cur := src.ino
 	for _, name := range f.Names {
 		if name == "" || name == "." {
 			continue
 		}
 		if err := checkWireName(name); err != nil {
-			return rerror(err)
+			return err
 		}
-		if name == ".." && cur == t.root {
-			return rerror(fmt.Errorf("walk above tenant root: %w", ErrPerm))
+		if name == ".." && cur == src.t.root {
+			return fmt.Errorf("walk above tenant root: %w", ErrPerm)
 		}
 		next, err := s.fs.Lookup(cur, name)
 		if err != nil {
-			return rerror(fmt.Errorf("walk at %q: %w", name, err))
+			return fmt.Errorf("walk at %q: %w", name, err)
 		}
 		cur = next
 	}
-	if !c.installFid(f.NewFid, &fid{t: t, ino: cur}) {
-		return rerror(fmt.Errorf("fid %d in use: %w", f.NewFid, ErrProto))
+	if !c.installFid(f.NewFid, fid{t: src.t, ino: cur}) {
+		return fmt.Errorf("fid %d in use: %w", f.NewFid, ErrProto)
 	}
-	return &Fcall{Type: Rwalk, Ino: uint64(cur)}
+	u.resp.Ino = uint64(cur)
+	return nil
 }
 
 // open marks a fid usable for I/O. The mode maps through the same vfs
 // flag lattice as path opens: truncation needs write access, write
 // access to a directory is ErrIsDir.
-func (s *Server) open(c *conn, f *Fcall) *Fcall {
-	fd, ok := c.fidRef(f.Fid)
-	if !ok {
-		return rerror(fmt.Errorf("open of unknown fid %d: %w", f.Fid, ErrProto))
-	}
+func (s *Server) open(c *conn, fd fid, u *unit) error {
+	f := &u.req
 	flag, err := MapOpenMode(f.Mode)
 	if err != nil {
-		return rerror(err)
+		return err
 	}
 	st, err := s.fs.Stat(fd.ino)
 	if err != nil {
-		return rerror(err)
+		return err
 	}
 	if st.Type == vfs.TypeDir && flag&vfs.OWrite != 0 {
-		return rerror(fmt.Errorf("open for write of a directory: %w", vfs.ErrIsDir))
+		return fmt.Errorf("open for write of a directory: %w", vfs.ErrIsDir)
 	}
 	if flag&vfs.OTrunc != 0 {
 		if err := s.fs.Truncate(fd.ino, 0); err != nil {
-			return rerror(err)
+			return err
 		}
 		st.Size, st.Blocks = 0, 0
 		if st2, err := s.fs.Stat(fd.ino); err == nil {
@@ -651,21 +658,26 @@ func (s *Server) open(c *conn, f *Fcall) *Fcall {
 		}
 	}
 	c.mu.Lock()
-	if live := c.fids[f.Fid]; live != nil {
-		live.open = true
-		live.mode = f.Mode
+	if live, ok := c.fids[f.Fid]; ok {
+		live.open, live.mode = true, f.Mode
+		c.fids[f.Fid] = live
 	}
 	c.mu.Unlock()
-	return &Fcall{Type: Ropen, Stat: toWireStat(st)}
+	u.resp.Stat = toWireStat(st)
+	return nil
 }
 
-// checkWireName refuses entry names no backend may ever accept: a "/"
-// would smuggle extra path components through a single-name field (a
-// tenant-escape vector if a backend were lax about it), and NUL-bearing
-// names break every on-disk format here. The file systems reject these
-// too; refusing at the wire keeps the guarantee independent of which
-// backend is mounted, with a stable Rerror code (codeInvalid).
+// checkWireName refuses entry names no backend may ever accept: one over
+// vfs.MaxNameLen cannot exist, a "/" would smuggle extra path components
+// through a single-name field (a tenant-escape vector if a backend were
+// lax about it), and NUL-bearing names break every on-disk format here.
+// The file systems reject these too; refusing at the wire keeps the
+// guarantee independent of which backend is mounted, with stable Rerror
+// codes (codeNameTooLong, codeInvalid).
 func checkWireName(name string) error {
+	if len(name) > vfs.MaxNameLen {
+		return fmt.Errorf("name of %d bytes: %w", len(name), vfs.ErrNameTooLong)
+	}
 	for i := 0; i < len(name); i++ {
 		if name[i] == '/' || name[i] == 0 {
 			return fmt.Errorf("name %q: %w", name, vfs.ErrInvalid)
@@ -674,90 +686,74 @@ func checkWireName(name string) error {
 	return nil
 }
 
-func (s *Server) create(c *conn, t *tenant, f *Fcall) *Fcall {
-	fd, ok := c.fidRef(f.Fid)
-	if !ok {
-		return rerror(fmt.Errorf("create in unknown fid %d: %w", f.Fid, ErrProto))
-	}
+func (s *Server) create(c *conn, fd fid, u *unit) error {
+	f := &u.req
 	if err := checkWireName(f.Name); err != nil {
-		return rerror(err)
+		return err
 	}
 	ino, err := s.fs.Create(fd.ino, f.Name)
 	if err != nil {
-		return rerror(err)
+		return err
 	}
 	st, err := s.fs.Stat(ino)
 	if err != nil {
-		return rerror(err)
+		return err
 	}
-	nf := &fid{t: t, ino: ino, open: true, mode: OModeRead | OModeWrite}
-	if !c.installFid(f.NewFid, nf) {
+	if !c.installFid(f.NewFid, fid{t: fd.t, ino: ino, open: true, mode: OModeRead | OModeWrite}) {
 		// The file exists; only the handle binding failed.
-		return rerror(fmt.Errorf("fid %d in use: %w", f.NewFid, ErrProto))
+		return fmt.Errorf("fid %d in use: %w", f.NewFid, ErrProto)
 	}
-	return &Fcall{Type: Rcreate, Ino: uint64(ino), Stat: toWireStat(st)}
+	u.resp.Ino, u.resp.Stat = uint64(ino), toWireStat(st)
+	return nil
 }
 
-func (s *Server) mkdir(c *conn, f *Fcall) *Fcall {
-	fd, ok := c.fidRef(f.Fid)
-	if !ok {
-		return rerror(fmt.Errorf("mkdir in unknown fid %d: %w", f.Fid, ErrProto))
-	}
+func (s *Server) mkdir(c *conn, fd fid, u *unit) error {
+	f := &u.req
 	if err := checkWireName(f.Name); err != nil {
-		return rerror(err)
+		return err
 	}
 	ino, err := s.fs.Mkdir(fd.ino, f.Name)
-	if err != nil {
-		return rerror(err)
-	}
-	return &Fcall{Type: Rmkdir, Ino: uint64(ino)}
+	u.resp.Ino = uint64(ino)
+	return err
 }
 
-func (s *Server) read(c *conn, f *Fcall) *Fcall {
-	fd, ok := c.fidRef(f.Fid)
-	if !ok {
-		return rerror(fmt.Errorf("read of unknown fid %d: %w", f.Fid, ErrProto))
-	}
+// read has the file system fill the reply frame behind the space of the
+// Rread header: one copy, cache to frame, which the encoder finds in place.
+func (s *Server) read(c *conn, fd fid, u *unit) error {
+	f := &u.req
 	if !fd.open || fd.mode&OModeRead == 0 {
-		return rerror(fmt.Errorf("read of fid not open for reading: %w", ErrPerm))
+		return fmt.Errorf("read of fid not open for reading: %w", ErrPerm)
 	}
-	count := f.Count
-	if max := c.msize.Load() - IOHeadroom; count > max {
-		count = max
+	count := min(int64(f.Count), int64(c.msize.Load()-IOHeadroom))
+	if rreadData+count > int64(cap(u.frame)) {
+		// The frame must grow: size it to what the file can supply, not
+		// to what the client asked for.
+		st, err := s.fs.Stat(fd.ino)
+		if err != nil {
+			return err
+		}
+		count = max(0, min(count, st.Size-f.Off))
 	}
-	buf := make([]byte, count)
-	n, err := s.fs.ReadAt(fd.ino, buf, f.Off)
-	if err != nil {
-		return rerror(err)
-	}
-	return &Fcall{Type: Rread, Data: buf[:n]}
+	u.frame = slices.Grow(u.frame[:0], rreadData+int(count))[:rreadData+int(count)]
+	n, err := s.fs.ReadAt(fd.ino, u.frame[rreadData:], f.Off)
+	u.resp.Data = u.frame[rreadData : rreadData+n]
+	return err
 }
 
-func (s *Server) write(c *conn, f *Fcall) *Fcall {
-	fd, ok := c.fidRef(f.Fid)
-	if !ok {
-		return rerror(fmt.Errorf("write of unknown fid %d: %w", f.Fid, ErrProto))
-	}
+func (s *Server) write(c *conn, fd fid, u *unit) error {
+	f := &u.req
 	if !fd.open || fd.mode&OModeWrite == 0 {
-		return rerror(fmt.Errorf("write of fid not open for writing: %w", ErrPerm))
+		return fmt.Errorf("write of fid not open for writing: %w", ErrPerm)
 	}
 	n, err := s.fs.WriteAt(fd.ino, f.Data, f.Off)
-	if err != nil {
-		return rerror(err)
-	}
-	return &Fcall{Type: Rwrite, Count: uint32(n)}
+	u.resp.Count = uint32(n)
+	return err
 }
 
-func (s *Server) stat(c *conn, f *Fcall) *Fcall {
-	fd, ok := c.fidRef(f.Fid)
-	if !ok {
-		return rerror(fmt.Errorf("stat of unknown fid %d: %w", f.Fid, ErrProto))
-	}
+func (s *Server) stat(c *conn, fd fid, u *unit) error {
 	st, err := s.fs.Stat(fd.ino)
-	if err != nil {
-		return rerror(err)
-	}
-	return &Fcall{Type: Rstat, Stat: toWireStat(st)}
+	u.resp.Stat = toWireStat(st)
+	return err
 }
 
 // readdir pages a directory by entry index in name order. Paging by
@@ -765,88 +761,69 @@ func (s *Server) stat(c *conn, f *Fcall) *Fcall {
 // mutation to exactly the degree the underlying fs is stable, and
 // bounds per-request work — which is what makes one-request fair-share
 // quanta meaningful against readdir storms.
-func (s *Server) readdir(c *conn, f *Fcall) *Fcall {
-	fd, ok := c.fidRef(f.Fid)
-	if !ok {
-		return rerror(fmt.Errorf("readdir of unknown fid %d: %w", f.Fid, ErrProto))
-	}
+func (s *Server) readdir(c *conn, fd fid, u *unit) error {
+	f := &u.req
 	if !fd.open || fd.mode&OModeRead == 0 {
-		return rerror(fmt.Errorf("readdir of fid not open for reading: %w", ErrPerm))
+		return fmt.Errorf("readdir of fid not open for reading: %w", ErrPerm)
 	}
 	ents, err := s.fs.ReadDir(fd.ino)
 	if err != nil {
-		return rerror(err)
+		return err
 	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].Name < ents[j].Name })
+	slices.SortFunc(ents, func(a, b vfs.DirEntry) int { return strings.Compare(a.Name, b.Name) })
 	if f.Off < 0 || f.Off > int64(len(ents)) {
-		return rerror(fmt.Errorf("readdir offset %d: %w", f.Off, vfs.ErrInvalid))
+		return fmt.Errorf("readdir offset %d: %w", f.Off, vfs.ErrInvalid)
 	}
-	resp := &Fcall{Type: Rreaddir}
 	budget := int(c.msize.Load()) - IOHeadroom
-	for i := int(f.Off); i < len(ents); i++ {
-		cost := 11 + len(ents[i].Name) // u64 ino + u8 type + u16 len + name
+	for _, e := range ents[f.Off:] {
+		cost := wireEntBytes + len(e.Name)
 		if budget < cost {
-			resp.More = true
+			u.resp.More = true
 			break
 		}
 		budget -= cost
-		resp.Ents = append(resp.Ents, WireDirEnt{
-			Ino:  uint64(ents[i].Ino),
-			Type: uint8(ents[i].Type),
-			Name: ents[i].Name,
-		})
+		u.resp.Ents = append(u.resp.Ents, WireDirEnt{Ino: uint64(e.Ino), Type: uint8(e.Type), Name: e.Name})
 	}
-	return resp
+	return nil
 }
 
-func (s *Server) unlink(c *conn, f *Fcall) *Fcall {
-	fd, ok := c.fidRef(f.Fid)
-	if !ok {
-		return rerror(fmt.Errorf("unlink in unknown fid %d: %w", f.Fid, ErrProto))
-	}
+func (s *Server) unlink(c *conn, fd fid, u *unit) error {
+	f := &u.req
 	if err := checkWireName(f.Name); err != nil {
-		return rerror(err)
+		return err
 	}
-	var err error
 	if f.Rmdir {
-		err = s.fs.Rmdir(fd.ino, f.Name)
-	} else {
-		err = s.fs.Unlink(fd.ino, f.Name)
+		return s.fs.Rmdir(fd.ino, f.Name)
 	}
-	if err != nil {
-		return rerror(err)
-	}
-	return &Fcall{Type: Runlink}
+	return s.fs.Unlink(fd.ino, f.Name)
 }
 
-func (s *Server) rename(c *conn, t *tenant, f *Fcall) *Fcall {
-	src, ok := c.fidRef(f.Fid)
-	if !ok {
-		return rerror(fmt.Errorf("rename from unknown fid %d: %w", f.Fid, ErrProto))
-	}
+func (s *Server) rename(c *conn, src fid, u *unit) error {
+	f := &u.req
 	dst, ok := c.fidRef(f.DirFid)
 	if !ok {
-		return rerror(fmt.Errorf("rename to unknown fid %d: %w", f.DirFid, ErrProto))
+		return fmt.Errorf("rename to unknown fid %d: %w", f.DirFid, ErrProto)
 	}
-	if src.t != t || dst.t != t {
-		return rerror(fmt.Errorf("rename across tenants: %w", ErrPerm))
+	if dst.t != src.t {
+		return fmt.Errorf("rename across tenants: %w", ErrPerm)
 	}
 	if err := checkWireName(f.Name); err != nil {
-		return rerror(err)
+		return err
 	}
 	if err := checkWireName(f.NewName); err != nil {
-		return rerror(err)
+		return err
 	}
-	if err := s.fs.Rename(src.ino, f.Name, dst.ino, f.NewName); err != nil {
-		return rerror(err)
-	}
-	return &Fcall{Type: Rrename}
+	return s.fs.Rename(src.ino, f.Name, dst.ino, f.NewName)
 }
 
-// write puts one response frame on the wire; write failures tear the
-// connection down (the reader will notice too, harmlessly). With
-// retire set the frame answers the request that reserved its tag, and
-// the tag leaves the in-flight table here — inside the write
+// write encodes the unit's answer into its frame buffer and puts it on
+// the wire; write failures tear the connection down (the reader will
+// notice too, harmlessly). A frame over the connection's msize would make
+// a conforming client drop the session, so an Rerror — which always fits
+// MinMsize, see maxEname — goes out in its place.
+//
+// With retire set the frame answers the request that reserved its tag,
+// and the tag leaves the in-flight table here — inside the write
 // serialisation, before the first reply byte can be observed. A client
 // may reuse a tag the instant it has read the reply, so by then the tag
 // must be free; releasing it once the write has returned would refuse
@@ -855,31 +832,42 @@ func (s *Server) rename(c *conn, t *tenant, f *Fcall) *Fcall {
 // is always refused: the tag is held until its response exists. And
 // because it is dropped under wmu, answers to one tag leave in request
 // order.
-func (c *conn) write(f *Fcall, retire bool) {
+func (c *conn) write(u *unit, retire bool) {
+	frame, err := appendFcall(u.frame[:0], &u.resp, c.msize.Load())
+	if err != nil {
+		u.fail(err)
+		frame, _ = appendFcall(frame[:0], &u.resp, 0)
+	}
 	c.wmu.Lock()
 	if retire {
 		c.mu.Lock()
-		delete(c.tags, f.Tag)
+		delete(c.tags, u.resp.Tag)
 		c.mu.Unlock()
 	}
-	err := WriteFcall(c.nc, f, 0)
+	_, err = c.nc.Write(frame)
 	c.wmu.Unlock()
 	if err != nil {
 		c.teardown()
 	}
+	// Written: nothing reads the unit's buffers any more.
+	u.body, u.frame = recycled(u.body), recycled(frame)
 }
 
-// reply answers the request that reserved tag and retires the tag.
-func (c *conn) reply(tag uint16, f *Fcall) {
-	f.Tag = tag
-	c.write(f, true)
+// reply answers the request that reserved the unit's tag, retires the
+// tag, and then returns the unit to the connection's free list.
+func (c *conn) reply(u *unit) {
+	c.write(u, true)
+	c.mu.Lock()
+	if len(c.free) < maxFreeUnits {
+		c.free = append(c.free, u)
+	}
+	c.mu.Unlock()
 }
 
-// sendErr answers a frame that never reserved its tag — a refused
-// duplicate, an unknown type or fid — so the tag table is left alone:
-// the tag may belong to a request still in flight.
-func (c *conn) sendErr(tag uint16, err error) {
-	e := rerror(err)
-	e.Tag = tag
-	c.write(e, false)
+// sendErr answers, from the reader's unit, a frame that never reserved
+// its tag — a refused duplicate, an unknown type or fid — so the tag table
+// is left alone: the tag may belong to a request still in flight.
+func (c *conn) sendErr(u *unit, err error) {
+	u.fail(err)
+	c.write(u, false)
 }

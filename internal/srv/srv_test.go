@@ -18,9 +18,8 @@ import (
 	"cffs/internal/vfs"
 )
 
-// testServer mounts a fresh concurrent C-FFS, serves it over loopback,
-// and returns a dialer. Cleanup closes everything.
-func testServer(t *testing.T, cfg srv.Config, tenants ...string) (*srv.Server, *srv.Loopback) {
+// newTestFS makes a fresh concurrent C-FFS on an in-memory disk.
+func newTestFS(t *testing.T) *core.FS {
 	t.Helper()
 	d, err := disk.NewMem(disk.SeagateST31200(), sim.NewClock())
 	if err != nil {
@@ -34,7 +33,16 @@ func testServer(t *testing.T, cfg srv.Config, tenants ...string) (*srv.Server, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.FS = fs
+	return fs
+}
+
+// testServer serves cfg.FS (a fresh C-FFS when nil) over loopback and
+// returns a dialer. Cleanup closes everything.
+func testServer(t *testing.T, cfg srv.Config, tenants ...string) (*srv.Server, *srv.Loopback) {
+	t.Helper()
+	if cfg.FS == nil {
+		cfg.FS = newTestFS(t)
+	}
 	s := srv.New(cfg)
 	for _, tn := range tenants {
 		if err := s.AddTenant(tn); err != nil {

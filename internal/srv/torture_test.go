@@ -1,6 +1,7 @@
 package srv_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"cffs/internal/srv"
+	"cffs/internal/vfs"
 )
 
 // rawDial opens a loopback connection for hand-rolled frames.
@@ -398,6 +400,30 @@ func TestTortureNegotiatedMsize(t *testing.T) {
 		}
 	})
 
+	t.Run("long-name-error", func(t *testing.T) {
+		// msize binds the server's error replies too: an Rerror that
+		// quotes a 3000-byte unprintable name back (24 KB as %q) must
+		// still fit the 4 KB this connection negotiated.
+		nc := rawDial(t, lb)
+		negotiate(t, nc, srv.MinMsize)
+		nc.Write(frame(byte(srv.Tattach), 1, append(u32body(1), "\x05\x00alpha"...)))
+		if r := readLimited(t, nc, srv.MinMsize); r.Type != srv.Rattach {
+			t.Fatalf("attach: %v / %v", r.Type, r.Err())
+		}
+		name := bytes.Repeat([]byte{0xFF}, 3000)
+		wbody := append(u32body(1), u32body(2)...)
+		wbody = binary.LittleEndian.AppendUint16(wbody, 1)
+		wbody = binary.LittleEndian.AppendUint16(wbody, uint16(len(name)))
+		nc.Write(frame(byte(srv.Twalk), 2, append(wbody, name...)))
+		r := readLimited(t, nc, srv.MinMsize)
+		if r.Type != srv.Rerror || len(r.Ename) > srv.MaxEname {
+			t.Fatalf("walk of a 3000-byte name: %v with a %d-byte message, want Rerror of at most %d", r.Type, len(r.Ename), srv.MaxEname)
+		}
+		if err := r.Err(); !errors.Is(err, vfs.ErrNameTooLong) && !errors.Is(err, vfs.ErrInvalid) {
+			t.Fatalf("walk of a 3000-byte name: %v, want ErrNameTooLong or ErrInvalid", err)
+		}
+	})
+
 	t.Run("oversized-request", func(t *testing.T) {
 		nc := rawDial(t, lb)
 		negotiate(t, nc, srv.MinMsize)
@@ -473,4 +499,62 @@ func TestTortureMidOpDrop(t *testing.T) {
 
 func byName(i, j int) string {
 	return "f" + string(rune('a'+i)) + string(rune('a'+j))
+}
+
+// TestLongNameErrorKeepsSession is the client's view of the same bug: on
+// a connection negotiated down to MinMsize, the Rerror for an absurd
+// name used to overrun msize, which srv.Client's read loop rightly treats
+// as frame damage — one bad name cost the session and every fid in it.
+func TestLongNameErrorKeepsSession(t *testing.T) {
+	s, lb := testServer(t, srv.Config{Msize: srv.MinMsize}, "alpha")
+	c := dialClient(t, lb)
+	if c.Msize() != srv.MinMsize {
+		t.Fatalf("negotiated msize %d, want %d", c.Msize(), srv.MinMsize)
+	}
+	root, err := c.Attach("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = root.Walk(string(bytes.Repeat([]byte{0xFF}, 3000)))
+	if !errors.Is(err, vfs.ErrNameTooLong) && !errors.Is(err, vfs.ErrInvalid) {
+		t.Fatalf("walk of a 3000-byte name: %v, want ErrNameTooLong or ErrInvalid", err)
+	}
+	if _, err := root.Stat(); err != nil {
+		t.Fatalf("session lost to one long name: %v", err)
+	}
+	c.Close()
+	waitZeroFids(t, s)
+}
+
+// twoSentinelFS fails the lookup of "both" with an error that wraps two
+// sentinels at once.
+type twoSentinelFS struct{ vfs.FileSystem }
+
+func (f twoSentinelFS) Lookup(dir vfs.Ino, name string) (vfs.Ino, error) {
+	if name == "both" {
+		return 0, fmt.Errorf("%w beneath %w", srv.ErrPerm, vfs.ErrNotExist)
+	}
+	return f.FileSystem.Lookup(dir, name)
+}
+
+// TestErrCodeDeterministic: an error wrapping two sentinels has one wire
+// code — the lower — every time. errCode used to range over a map, so
+// the code, and with it the sentinel the client saw, changed from run to
+// run.
+func TestErrCodeDeterministic(t *testing.T) {
+	_, lb := testServer(t, srv.Config{FS: twoSentinelFS{newTestFS(t)}}, "alpha")
+	root, err := dialClient(t, lb).Attach("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		_, err := root.Walk("both")
+		if !errors.Is(err, vfs.ErrNotExist) || errors.Is(err, srv.ErrPerm) {
+			t.Fatalf("walk %d: %v, want the code of ErrNotExist", i, err)
+		}
+	}
+	both := fmt.Errorf("%w beneath %w", srv.ErrPerm, vfs.ErrNotExist)
+	if a, b := srv.ErrCode(both), srv.ErrCode(vfs.ErrNotExist); a != b {
+		t.Fatalf("errCode(%v) = %d, want %d", both, a, b)
+	}
 }
