@@ -43,9 +43,20 @@ func (r *Req) blocks() int { return len(r.Bufs) }
 // multi-disk volume (internal/volume) presenting one logical sector
 // address space. *disk.Disk satisfies it as-is; everything above the
 // driver talks to whichever is plugged in through this interface.
+//
+// FlatCost declares the device's flat request price: fixedNs for
+// issuing a request of any size plus blockNs for each block it moves.
+// Zeros mean the device is not flat-priced — a request costs what the
+// head's position makes it cost, and no two numbers describe that. It
+// is a method of the interface, not an optional one found by assertion,
+// because interposers wrap a Target by embedding this interface: a
+// wrapper forwards every method declared here and silently hides any
+// that is not, so a policy that read the price by assertion would change
+// whenever the device is merely being observed.
 type Target interface {
 	Sectors() int64
 	Clock() *sim.Clock
+	FlatCost() (fixedNs, blockNs int64)
 	Stats() disk.Stats
 	ResetStats()
 	ReadV(lba int64, bufs [][]byte) error

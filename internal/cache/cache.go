@@ -67,10 +67,13 @@ type Buf struct {
 	pins    atomic.Int32
 	lastUse atomic.Int64 // Cache.useTick value at the last touch
 
-	// prefetched marks a block brought in by a group read (ReadRun)
-	// rather than on demand; the first hit consumes the mark as "used",
-	// eviction of a still-marked block counts as "unused". The ratio of
-	// the two is the group-read fill ratio.
+	// prefetched marks a block brought in speculatively (ReadRun,
+	// ReadRuns) rather than on demand; the first hit consumes the mark as
+	// "used", removal of a still-marked block counts as "unused". The
+	// ratio of the two is the group-read fill ratio. The mark is kept
+	// whether or not a registry is attached: the file system's group-read
+	// policy reads the resolved counts, and a policy may not depend on
+	// being observed.
 	prefetched atomic.Bool
 
 	// loaded is set once Data holds the block, just before ready is
@@ -125,16 +128,20 @@ func (b *Buf) publish() {
 }
 
 // Stats counts cache activity. Misses counts demand misses only: blocks
-// a caller asked for that were not resident. Blocks brought in
-// speculatively by group reads (ReadRun) are PrefetchFills — folding
-// them into Misses would inflate the demand-miss rate precisely when
-// grouping works best.
+// a caller asked for that were not resident (Read, ReadDemand). Blocks
+// brought in speculatively by group reads (ReadRun, ReadRuns) are
+// PrefetchFills — folding them into Misses would inflate the demand-miss
+// rate precisely when grouping works best. Each speculative fill
+// resolves once: PrefetchUsed on its first hit, PrefetchUnused when it
+// leaves the cache (evicted, invalidated or flushed) without one.
 type Stats struct {
-	Hits          int64
-	Misses        int64
-	PrefetchFills int64
-	Evictions     int64
-	WriteBacks    int64 // blocks written by Sync/eviction/WriteSync
+	Hits           int64
+	Misses         int64
+	PrefetchFills  int64
+	PrefetchUsed   int64
+	PrefetchUnused int64
+	Evictions      int64
+	WriteBacks     int64 // blocks written by Sync/eviction/WriteSync
 }
 
 // nShards is the physical-index shard count. Adjacent blocks land in
@@ -173,6 +180,8 @@ type Cache struct {
 	hits       atomic.Int64
 	misses     atomic.Int64
 	prefFills  atomic.Int64
+	prefUsed   atomic.Int64
+	prefUnused atomic.Int64
 	evictions  atomic.Int64
 	writeBacks atomic.Int64
 
@@ -253,11 +262,18 @@ func (c *Cache) SetMetrics(r *obs.Registry) {
 // hit records a hit on b found through the physical index.
 func (c *Cache) hit(b *Buf) {
 	c.hits.Add(1)
+	c.usePrefetched(b)
 	if c.m.misses != nil { // metrics attached
 		c.m.shardHits[uint64(b.Block)%nShards].Inc()
-		if b.prefetched.Swap(false) {
-			c.m.prefUsed.Inc()
-		}
+	}
+}
+
+// usePrefetched resolves b's speculative mark as used on a hit. Load
+// before swap: all but the first hit on a block pay one atomic load.
+func (c *Cache) usePrefetched(b *Buf) {
+	if b.prefetched.Load() && b.prefetched.Swap(false) {
+		c.prefUsed.Add(1)
+		c.m.prefUsed.Inc()
 	}
 }
 
@@ -267,11 +283,13 @@ func (c *Cache) Device() *blockio.Device { return c.dev }
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats {
 	return Stats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		PrefetchFills: c.prefFills.Load(),
-		Evictions:     c.evictions.Load(),
-		WriteBacks:    c.writeBacks.Load(),
+		Hits:           c.hits.Load(),
+		Misses:         c.misses.Load(),
+		PrefetchFills:  c.prefFills.Load(),
+		PrefetchUsed:   c.prefUsed.Load(),
+		PrefetchUnused: c.prefUnused.Load(),
+		Evictions:      c.evictions.Load(),
+		WriteBacks:     c.writeBacks.Load(),
 	}
 }
 
@@ -358,12 +376,8 @@ func (c *Cache) GetByID(id ID) *Buf {
 		return nil
 	}
 	c.hits.Add(1)
-	if c.m.misses != nil {
-		c.m.logicalHits.Inc()
-		if b.prefetched.Swap(false) {
-			c.m.prefUsed.Inc()
-		}
-	}
+	c.usePrefetched(b)
+	c.m.logicalHits.Inc()
 	return b
 }
 
@@ -545,7 +559,8 @@ func (c *Cache) removeLocked(s *shard, b *Buf) {
 		c.ndirty--
 		b.dirty = false
 	}
-	if b.prefetched.Swap(false) {
+	if b.prefetched.Load() && b.prefetched.Swap(false) {
+		c.prefUnused.Add(1)
 		c.m.prefUnused.Inc()
 	}
 	b.gone = true
@@ -640,7 +655,9 @@ func (c *Cache) Invalidate(phys int64) {
 // ReadRun ensures blocks [start, start+count) are resident, issuing the
 // fewest possible disk requests: each maximal run of missing blocks is
 // one scatter/gather read. Resident blocks (clean or dirty) are left
-// untouched. This is the group-read primitive of explicit grouping.
+// untouched. This is the group-read primitive of explicit grouping, and
+// its fills are speculative: nobody has asked for most of these blocks
+// yet, so each is marked and later resolves as used or unused.
 //
 // The buffers of a run are pinned while the run is assembled so that
 // inserting the tail cannot evict the head; to keep that safe on tiny
@@ -648,70 +665,105 @@ func (c *Cache) Invalidate(phys int64) {
 // goroutine is already loading are left to that goroutine, splitting the
 // run around them.
 func (c *Cache) ReadRun(start int64, count int) error {
-	maxRun := c.capacity / 2
-	if maxRun < 1 {
-		maxRun = 1
-	}
+	return c.readRun(start, count, false)
+}
+
+// ReadDemand is ReadRun for blocks the caller is about to consume, every
+// one of them: the physically contiguous blocks of one read request,
+// fetched as one disk request instead of block by block. Its fills are
+// demand misses, not speculation — they carry no mark and say nothing
+// about whether group reads pay.
+func (c *Cache) ReadDemand(start int64, count int) error {
+	return c.readRun(start, count, true)
+}
+
+// readRun is ReadRun and ReadDemand: the two differ only in how the
+// blocks they bring in are accounted.
+func (c *Cache) readRun(start int64, count int, demand bool) error {
+	maxRun := c.maxClaim()
 	i := 0
 	for i < count {
-		// Claim the next run of missing blocks with placeholders.
-		var claimed []*Buf
-		j := i
-		for j < count && j-i < maxRun {
-			phys := start + int64(j)
-			s := c.shard(phys)
-			s.mu.Lock()
-			if s.byPhys[phys] != nil {
-				s.mu.Unlock()
-				break
-			}
-			b := c.newBuf(phys)
-			b.pins.Add(1)
-			s.byPhys[phys] = b
-			c.n.Add(1)
-			s.mu.Unlock()
-			c.touch(b)
-			claimed = append(claimed, b)
-			j++
-		}
+		claimed := c.claimMissing(start+int64(i), min(count-i, maxRun))
 		if len(claimed) == 0 {
 			i++
 			continue
 		}
-		// Speculative fills, not demand misses. The demand access that
-		// triggered this run follows as an ordinary Read, which finds the
-		// block resident and records a hit plus a prefetch "used" mark —
-		// the prefetch hid the miss, which is the fact worth measuring.
-		if c.m.prefLoaded != nil {
-			c.m.prefLoaded.Add(int64(len(claimed)))
-			for _, b := range claimed {
-				b.prefetched.Store(true)
-			}
-		}
-		fill := func(err error) error {
-			for _, b := range claimed {
-				c.fail(b, err)
-			}
-			return err
+		if demand {
+			c.misses.Add(int64(len(claimed)))
+			c.m.misses.Add(int64(len(claimed)))
+		} else {
+			c.markSpeculative(claimed)
 		}
 		if err := c.makeRoom(); err != nil {
-			return fill(err)
+			return c.failAll(claimed, err)
 		}
 		bufs := make([][]byte, len(claimed))
 		for k, b := range claimed {
 			bufs[k] = b.Data
 		}
 		if err := c.dev.ReadBlocks(start+int64(i), bufs); err != nil {
-			return fill(err)
+			return c.failAll(claimed, err)
 		}
-		c.prefFills.Add(int64(len(claimed)))
-		for _, b := range claimed {
-			b.publish()
-			b.Release()
+		if !demand {
+			c.prefFills.Add(int64(len(claimed)))
 		}
-		i = j
+		publishAll(claimed)
+		i += len(claimed)
 	}
 	return nil
+}
+
+// maxClaim bounds how many placeholders one call holds pinned at once.
+func (c *Cache) maxClaim() int { return max(c.capacity/2, 1) }
+
+// claimMissing inserts pinned placeholders for the blocks from start on
+// that are not resident, stopping at the first that is or after limit.
+func (c *Cache) claimMissing(start int64, limit int) []*Buf {
+	var claimed []*Buf
+	for len(claimed) < limit {
+		phys := start + int64(len(claimed))
+		s := c.shard(phys)
+		s.mu.Lock()
+		if s.byPhys[phys] != nil {
+			s.mu.Unlock()
+			break
+		}
+		b := c.newBuf(phys)
+		b.pins.Add(1)
+		s.byPhys[phys] = b
+		c.n.Add(1)
+		s.mu.Unlock()
+		c.touch(b)
+		claimed = append(claimed, b)
+	}
+	return claimed
+}
+
+// markSpeculative marks bufs as speculative fills, not demand misses.
+// The demand access that triggered the read follows as an ordinary
+// Read, which finds its block resident and records a hit plus a "used"
+// mark — the prefetch hid the miss, which is the fact worth measuring.
+func (c *Cache) markSpeculative(bufs []*Buf) {
+	c.m.prefLoaded.Add(int64(len(bufs)))
+	for _, b := range bufs {
+		b.prefetched.Store(true)
+	}
+}
+
+// failAll withdraws a claimed run whose load failed and returns err.
+func (c *Cache) failAll(bufs []*Buf, err error) error {
+	for _, b := range bufs {
+		c.fail(b, err)
+	}
+	return err
+}
+
+// publishAll makes a loaded run usable and drops the loader's pins.
+func publishAll(bufs []*Buf) {
+	for _, b := range bufs {
+		b.publish()
+		b.Release()
+	}
 }
 
 // Run names a block range for ReadRuns.
@@ -727,55 +779,28 @@ type Run struct {
 // parallel — this is the group-readahead primitive: the demand group
 // plus the next few related group extents go out as one fan-out.
 //
-// Like ReadRun, resident and in-flight blocks are skipped, and the
-// total claimed at once is capped at half the cache capacity; runs past
-// the cap are simply not prefetched (the eventual demand access brings
-// them in).
+// Like ReadRun, resident and in-flight blocks are skipped and the fills
+// are speculative, and the total claimed at once is capped at half the
+// cache capacity; runs past the cap are simply not prefetched (the
+// eventual demand access brings them in).
 func (c *Cache) ReadRuns(runs []Run) error {
-	maxRun := c.capacity / 2
-	if maxRun < 1 {
-		maxRun = 1
-	}
+	maxRun := c.maxClaim()
 	type claim struct {
 		start int64
 		bufs  []*Buf
 	}
 	var claims []claim
 	total := 0
-claiming:
 	for _, r := range runs {
-		i := 0
-		for i < r.Count {
-			if total >= maxRun {
-				break claiming
-			}
-			// Claim the next run of missing blocks with placeholders.
-			var claimed []*Buf
-			j := i
-			for j < r.Count && total < maxRun {
-				phys := r.Start + int64(j)
-				s := c.shard(phys)
-				s.mu.Lock()
-				if s.byPhys[phys] != nil {
-					s.mu.Unlock()
-					break
-				}
-				b := c.newBuf(phys)
-				b.pins.Add(1)
-				s.byPhys[phys] = b
-				c.n.Add(1)
-				s.mu.Unlock()
-				c.touch(b)
-				claimed = append(claimed, b)
-				total++
-				j++
-			}
+		for i := 0; i < r.Count && total < maxRun; {
+			claimed := c.claimMissing(r.Start+int64(i), min(r.Count-i, maxRun-total))
 			if len(claimed) == 0 {
 				i++
 				continue
 			}
 			claims = append(claims, claim{start: r.Start + int64(i), bufs: claimed})
-			i = j
+			total += len(claimed)
+			i += len(claimed)
 		}
 	}
 	if len(claims) == 0 {
@@ -785,21 +810,9 @@ claiming:
 	for _, cl := range claims {
 		all = append(all, cl.bufs...)
 	}
-	// Speculative fills, not demand misses; see ReadRun.
-	if c.m.prefLoaded != nil {
-		c.m.prefLoaded.Add(int64(len(all)))
-		for _, b := range all {
-			b.prefetched.Store(true)
-		}
-	}
-	fill := func(err error) error {
-		for _, b := range all {
-			c.fail(b, err)
-		}
-		return err
-	}
+	c.markSpeculative(all)
 	if err := c.makeRoom(); err != nil {
-		return fill(err)
+		return c.failAll(all, err)
 	}
 	reqs := make([]blockio.Req, len(claims))
 	for i, cl := range claims {
@@ -810,13 +823,10 @@ claiming:
 		reqs[i] = blockio.Req{Block: cl.start, Bufs: bufs}
 	}
 	if err := c.dev.Submit(reqs); err != nil {
-		return fill(err)
+		return c.failAll(all, err)
 	}
 	c.prefFills.Add(int64(len(all)))
-	for _, b := range all {
-		b.publish()
-		b.Release()
-	}
+	publishAll(all)
 	return nil
 }
 

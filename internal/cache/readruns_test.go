@@ -113,3 +113,75 @@ func TestReadRunsNoop(t *testing.T) {
 		t.Fatalf("prefetch fills = %d, want 0", got)
 	}
 }
+
+// Speculative fills resolve in Stats with no registry attached: used on
+// the first hit (and only the first), unused on leaving the cache — by
+// eviction, invalidation or Flush — without one. A file system policy
+// reads these, so they may not depend on SetMetrics.
+func TestSpeculativeFillsResolveWithoutRegistry(t *testing.T) {
+	c := newCache(t, 8)
+	for i := int64(0); i < 12; i++ {
+		fillDisk(t, c, 100+i, byte(i))
+	}
+	if err := c.ReadRun(100, 4); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 { // the second hit resolves nothing
+		b, err := c.Read(100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Release()
+	}
+	c.Invalidate(101)
+	if st := c.Stats(); st.PrefetchUsed != 1 || st.PrefetchUnused != 1 {
+		t.Fatalf("after one hit and one invalidation: used %d, unused %d", st.PrefetchUsed, st.PrefetchUnused)
+	}
+	// Eight demand reads push the two remaining marked blocks out.
+	for i := int64(4); i < 12; i++ {
+		b, err := c.Read(100 + i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Release()
+	}
+	if st := c.Stats(); st.PrefetchUsed != 1 || st.PrefetchUnused != 3 {
+		t.Fatalf("after eviction: used %d, unused %d, want 1 and 3", st.PrefetchUsed, st.PrefetchUnused)
+	}
+	if st := c.Stats(); st.PrefetchUsed+st.PrefetchUnused != st.PrefetchFills {
+		t.Fatalf("%d fills, %d resolved", st.PrefetchFills, st.PrefetchUsed+st.PrefetchUnused)
+	}
+}
+
+// A demand run is one disk request like a speculative one, but its
+// blocks are misses: unmarked, so they never resolve as used or unused.
+func TestReadDemandCountsMisses(t *testing.T) {
+	c := newCache(t, 16)
+	for i := int64(0); i < 4; i++ {
+		fillDisk(t, c, 40+i, byte(0x40+i))
+	}
+	reqs := c.Device().Disk().Stats().Requests
+	if err := c.ReadDemand(40, 4); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Device().Disk().Stats().Requests - reqs; got != 1 {
+		t.Fatalf("ReadDemand of 4 contiguous blocks issued %d requests", got)
+	}
+	for i := int64(0); i < 4; i++ {
+		b, err := c.Read(40 + i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Data[0] != byte(0x40+i) {
+			t.Errorf("block %d: data %#x", 40+i, b.Data[0])
+		}
+		b.Release()
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.Misses != 4 || st.Hits != 4 || st.PrefetchFills != 0 || st.PrefetchUsed != 0 || st.PrefetchUnused != 0 {
+		t.Fatalf("stats after a demand run, its reads and a flush: %+v", st)
+	}
+}

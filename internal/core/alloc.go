@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cffs/internal/cache"
 	"cffs/internal/layout"
@@ -177,20 +178,19 @@ func (fs *FS) allocGrouped(owner uint32, fileGroup uint32, ino vfs.Ino, prefAG i
 	if err != nil {
 		return 0, 0, err
 	}
-	var candidates []int
 	for k := 0; k < fs.sb.groupsPerAG(); k++ {
-		d := readDesc(hdr, k)
-		if d.Owner == owner && !d.full() {
-			candidates = append(candidates, k)
+		if d := readDesc(hdr, k); d.Owner != owner || d.full() {
+			continue
 		}
-	}
-	hdr.Release()
-	for _, k := range candidates {
+		// A failed claim only marks its own descriptor full, so claiming
+		// mid-scan cannot change what the rest of the scan sees.
 		phys, id, err := fs.claimInGroup(prefAG, k, owner)
 		if err != nil || phys != 0 {
+			hdr.Release()
 			return phys, id, err
 		}
 	}
+	hdr.Release()
 	// 4. A fresh extent near the directory.
 	for i := 0; i < fs.sb.NAG; i++ {
 		ag := (prefAG + i) % fs.sb.NAG
@@ -327,39 +327,44 @@ func (fs *FS) freeBlock(phys int64) error {
 	return nil
 }
 
-// groupSpan returns the physical span [start, start+n) of grouped blocks
-// of the group containing phys, for a group read. ok is false when phys
+// usedSpan returns the extent-relative span [lo, lo+n) from the first to
+// the last grouped block of a descriptor's Used bitmap (non-zero).
+func usedSpan(used uint16) (lo, n int) {
+	lo = bits.TrailingZeros16(used)
+	return lo, bits.Len16(used) - lo
+}
+
+// group is one lookup of the descriptor covering a block: where the
+// extent is, its id, and the physical span [start, start+count) of its
+// grouped blocks — what a group read fetches.
+type group struct {
+	ag, k int
+	id    uint32
+	start int64
+	count int
+}
+
+// groupOf looks up the group a block belongs to. ok is false when phys
 // is not part of a claimed group.
-func (fs *FS) groupSpan(phys int64) (int64, int, bool) {
+func (fs *FS) groupOf(phys int64) (g group, ok bool) {
 	ag, k, start, ok := fs.locateGroup(phys)
 	if !ok {
-		return 0, 0, false
+		return group{}, false
 	}
 	hdr, err := fs.c.Read(fs.sb.agStart(ag))
 	if err != nil {
-		return 0, 0, false
+		return group{}, false
 	}
 	d := readDesc(hdr, k)
 	hdr.Release()
-	if d.Owner == 0 || d.Used == 0 {
-		return 0, 0, false
-	}
 	// Only blocks that are actually part of the group participate in
 	// group reads; conventional allocations squatting inside the extent
 	// (e.g. the tail of a large file) are not the group's responsibility.
-	if d.Used&(1<<(phys-start)) == 0 {
-		return 0, 0, false
+	if d.Owner == 0 || d.Used&(1<<(phys-start)) == 0 {
+		return group{}, false
 	}
-	lo, hi := -1, -1
-	for i := 0; i < GroupBlocks; i++ {
-		if d.Used&(1<<i) != 0 {
-			if lo < 0 {
-				lo = i
-			}
-			hi = i
-		}
-	}
-	return start + int64(lo), hi - lo + 1, true
+	lo, n := usedSpan(d.Used)
+	return group{ag: ag, k: k, id: fs.groupID(ag, k), start: start + int64(lo), count: n}, true
 }
 
 // nextOwnedSpans returns the grouped spans of up to fan further extents
@@ -457,20 +462,12 @@ func (fs *FS) spanScan(hdr *cache.Buf, ag, k int, owner uint32, fan int) []cache
 		if d.Used == 0 || (owner != 0 && d.Owner != owner) {
 			continue
 		}
-		lo, hi := -1, -1
-		for i := 0; i < GroupBlocks; i++ {
-			if d.Used&(1<<i) != 0 {
-				if lo < 0 {
-					lo = i
-				}
-				hi = i
-			}
-		}
+		lo, n := usedSpan(d.Used)
 		start := fs.sb.groupBase(ag) + int64(j)*GroupBlocks + int64(lo)
 		if fs.c.Peek(start) != nil {
 			continue
 		}
-		runs = append(runs, cache.Run{Start: start, Count: hi - lo + 1})
+		runs = append(runs, cache.Run{Start: start, Count: n})
 	}
 	return runs
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cffs/internal/blockio"
-	"cffs/internal/cache"
 	"cffs/internal/layout"
 	"cffs/internal/vfs"
 )
@@ -204,79 +203,6 @@ func (fs *FS) indirBlock(ptrSlot *uint32, in *layout.Inode, ino vfs.Ino, lb, idx
 	fs.c.MarkDirty(ib)
 	in.NBlocks++
 	return phys, nil
-}
-
-// readBlockGrouped reads a block through the cache with the group-read
-// policy: a miss on any block of a claimed group fetches the group's
-// whole allocated span in one request (unconditionally, or on the
-// second recent touch when AdaptiveGroupRead is set). Both file data
-// and directory blocks go through this path.
-//
-// With group readahead in effect (a striped volume underneath, or
-// Options.GroupReadahead set), the demand group's read also carries the
-// next few extents owned by the same directory, batched into one Submit
-// so the volume can service them on different spindles in parallel.
-func (fs *FS) readBlockGrouped(phys int64) (*cache.Buf, error) {
-	if fs.opts.Grouping && fs.c.Peek(phys) == nil {
-		if start, count, ok := fs.groupSpan(phys); ok && fs.groupReadWanted(phys) {
-			runs := []cache.Run{{Start: start, Count: count}}
-			if fan := fs.groupReadFan(); fan > 0 {
-				if ag, k, _, ok := fs.locateGroup(phys); ok {
-					runs = append(runs, fs.nextOwnedSpans(ag, k, fan)...)
-				}
-			}
-			fs.mGroupReads.Inc()
-			for _, r := range runs {
-				fs.mGroupBlocks.Add(int64(r.Count))
-			}
-			var err error
-			if len(runs) == 1 {
-				err = fs.c.ReadRun(start, count)
-			} else {
-				fs.mGroupPrefetch.Add(int64(len(runs) - 1))
-				err = fs.c.ReadRuns(runs)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return fs.c.Read(phys)
-}
-
-// groupReadWanted applies the adaptive policy: always, or only when the
-// block's group was touched recently (a scan is in progress). The
-// recency window is the one piece of FS state mutated on the read path,
-// so it has its own lock (adaptMu) rather than riding on the FS write
-// lock.
-func (fs *FS) groupReadWanted(phys int64) bool {
-	if !fs.opts.AdaptiveGroupRead {
-		return true
-	}
-	ag, k, _, ok := fs.locateGroup(phys)
-	if !ok {
-		return false
-	}
-	gid := fs.groupID(ag, k)
-	fs.adaptMu.Lock()
-	defer fs.adaptMu.Unlock()
-	if fs.recentGroups == nil {
-		fs.recentGroups = make(map[uint32]bool)
-	}
-	if fs.recentGroups[gid] {
-		return true
-	}
-	const window = 32
-	fs.recentGroups[gid] = true
-	fs.recentOrder = append(fs.recentOrder, gid)
-	if len(fs.recentOrder) > window {
-		old := fs.recentOrder[0]
-		fs.recentOrder = fs.recentOrder[1:]
-		if old != gid {
-			delete(fs.recentGroups, old)
-		}
-	}
-	return false
 }
 
 // zeroBlock installs an all-zero cached block for fresh metadata.

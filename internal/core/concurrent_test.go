@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"cffs/internal/blockio"
+	"cffs/internal/sched"
 	"cffs/internal/vfs"
 )
 
@@ -119,12 +121,31 @@ func TestConcurrentCreateLookupUnlink(t *testing.T) {
 // actually runs in parallel, so it is where cache-internal races would
 // surface.
 func TestConcurrentReaders(t *testing.T) {
-	fs := newCFFS(t, Options{
-		EmbedInodes: true, Grouping: true, Mode: ModeDelayed,
-		AdaptiveGroupRead: true, // drive adaptMu from many goroutines
+	// The recency rule on the disk (every read takes adaptMu), and the
+	// group-read controller on a priced device: there the tree is larger
+	// than the cache, so the readers keep missing, speculative fills keep
+	// resolving, and the controller revises its decision under their feet.
+	t.Run("disk-adaptive", func(t *testing.T) {
+		concurrentReaders(t, newCFFS(t, Options{
+			EmbedInodes: true, Grouping: true, Mode: ModeDelayed, AdaptiveGroupRead: true,
+		}), 4, 16)
 	})
-	const dirs = 4
-	const filesPer = 16
+	t.Run("ssd-controller", func(t *testing.T) {
+		fs, err := Mkfs(blockio.NewDevice(grTarget(t, "ssd"), sched.CLook{}), Options{
+			EmbedInodes: true, Grouping: true, Mode: ModeDelayed, CacheBlocks: 256,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		concurrentReaders(t, fs, 8, 48)
+		if st := fs.c.Stats(); st.PrefetchUsed+st.PrefetchUnused < 4*groupReadWindow {
+			t.Errorf("only %d speculative fills resolved; the controller was not driven", st.PrefetchUsed+st.PrefetchUnused)
+		}
+	})
+}
+
+func concurrentReaders(t *testing.T, fs *FS, dirs, filesPer int) {
+	defer fs.Close()
 	content := make([]byte, 3000)
 	for i := range content {
 		content[i] = byte(i)

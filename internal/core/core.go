@@ -90,12 +90,16 @@ type Options struct {
 	// deliberately does nothing.
 	Readahead int
 	// AdaptiveGroupRead fetches a whole group only on the second recent
-	// touch of that group; the first touch reads one block. Directory
-	// scans still get group reads (from the second file on), while
-	// uniformly random traffic — where fetching 64 KB per 4 KB wanted
-	// thrashes the cache — degrades gracefully to per-block reads. The
-	// paper moves groups "as a unit ... in most cases"; this is one such
-	// policy. Off by default to keep the paper-faithful behaviour.
+	// touch of that group; the first touch reads the request's own
+	// contiguous blocks. Directory scans still get group reads (from the
+	// second file on), while uniformly random traffic — where fetching
+	// 64 KB per 4 KB wanted thrashes the cache — degrades gracefully to
+	// per-request reads. The paper moves groups "as a unit ... in most
+	// cases"; this is one such policy. Off by default: on a device that
+	// declares no request cost the default is the paper's unconditional
+	// group read, and on one that does (ssd, objstore) the mount measures
+	// whether group reads pay and applies this rule only while they do
+	// not (groupread.go). Setting it pins the rule on any device.
 	AdaptiveGroupRead bool
 	// GroupReadahead widens a group read: along with the demand group,
 	// up to this many further group extents owned by the same directory
@@ -314,12 +318,10 @@ type FS struct {
 	// pathcache.go for its place in the lock hierarchy.
 	pc *pathCache
 
-	// Adaptive group-read recency window (see
-	// Options.AdaptiveGroupRead), guarded by adaptMu because it is
-	// mutated on the read path, under mu held shared.
-	adaptMu      sync.Mutex
-	recentGroups map[uint32]bool
-	recentOrder  []uint32
+	// gr decides which misses fetch a whole group (see
+	// groupReadWanted); adaptMu guards everything in it that changes.
+	adaptMu sync.Mutex
+	gr      groupReadPolicy
 
 	// Observability, immutable after mount; all no-ops when
 	// Options.Metrics is nil. The mechanism counters measure the
@@ -399,6 +401,7 @@ func Mkfs(dev *blockio.Device, opts Options) (*FS, error) {
 		clk:         dev.Disk().Clock(),
 		opts:        opts,
 		devParallel: deviceParallelism(dev),
+		gr:          groupReadPolicy{breakEven: groupReadBreakEven(dev)},
 		wasClean:    true, // a fresh image has no stale indexes
 		sb: super{
 			NBlocks:  nblocks,
@@ -473,6 +476,7 @@ func Mount(dev *blockio.Device, opts Options) (*FS, error) {
 		clk:         dev.Disk().Clock(),
 		opts:        opts,
 		devParallel: deviceParallelism(dev),
+		gr:          groupReadPolicy{breakEven: groupReadBreakEven(dev)},
 	}
 	fs.attachMetrics(opts.Metrics, opts.Recorder)
 	sb, err := fs.c.Read(0)

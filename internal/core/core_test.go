@@ -427,10 +427,11 @@ func TestGroupSpanAndDescriptors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start, count, ok := fs.groupSpan(int64(in.Direct[0]))
+	g, ok := fs.groupOf(int64(in.Direct[0]))
 	if !ok {
 		t.Fatal("grouped block has no group span")
 	}
+	start, count := g.start, g.count
 	// The span covers the file's three blocks plus the co-located
 	// directory block.
 	if count < 3 || count > 5 {

@@ -9,11 +9,12 @@ import (
 
 // File data I/O. The read path implements the group read: a cache miss
 // on any grouped block fetches the whole allocated span of its group in
-// one disk request, scattering every block into the cache by physical
-// address (no back-translation — the dual-indexed cache absorbs them,
-// and later logical accesses find them via the owning inodes). Writes
-// are delayed; grouped blocks leave the write queue as one clustered
-// request because they are physically adjacent.
+// one disk request (where that pays — see groupread.go), scattering
+// every block into the cache by physical address (no back-translation —
+// the dual-indexed cache absorbs them, and later logical accesses find
+// them via the owning inodes). Writes are delayed; grouped blocks leave
+// the write queue as one clustered request because they are physically
+// adjacent.
 
 // readAt implements ReadAt; the FS lock is held.
 func (fs *FS) readAt(ino vfs.Ino, p []byte, off int64) (int, error) {
@@ -37,6 +38,7 @@ func (fs *FS) readAt(ino vfs.Ino, p []byte, off int64) (int, error) {
 		// Immediate file: the contents live in the inode itself.
 		return copy(p, in.Inline[off:in.Size]), nil
 	}
+	last := (off + int64(len(p)) - 1) / blockio.BlockSize
 	read := 0
 	for read < len(p) {
 		lb := (off + int64(read)) / blockio.BlockSize
@@ -54,7 +56,7 @@ func (fs *FS) readAt(ino vfs.Ino, p []byte, off int64) (int, error) {
 				p[read+i] = 0
 			}
 		} else {
-			b, err := fs.readFileBlock(&in, ino, lb, phys)
+			b, err := fs.readFileBlock(&in, ino, lb, phys, last)
 			if err != nil {
 				return read, err
 			}
@@ -142,30 +144,50 @@ func (fs *FS) writeAt(ino vfs.Ino, p []byte, off int64) (int, error) {
 	return written, fs.putInode(ino, &in, false)
 }
 
-// readFileBlock fetches one file data block, applying the group-read
-// policy for grouped blocks and, for ungrouped ones, sequential
-// readahead: on a miss, up to Options.Readahead physically contiguous
-// blocks of the same file come in with one scatter request.
-func (fs *FS) readFileBlock(in *layout.Inode, ino vfs.Ino, lb, phys int64) (*cache.Buf, error) {
-	if fs.opts.Readahead > 0 && fs.c.Peek(phys) == nil {
-		if _, _, ok := fs.groupSpan(phys); !ok {
-			run := int64(1)
-			fileBlocks := (in.Size + blockio.BlockSize - 1) / blockio.BlockSize
-			for run < int64(fs.opts.Readahead) && lb+run < fileBlocks {
-				np, err := fs.bmap(in, ino, lb+run, false)
-				if err != nil || np != phys+run {
-					break
-				}
-				run++
+// readFileBlock fetches file block lb of a read request that runs to
+// block last. A miss looks the block's group descriptor up once and
+// then issues at most one request ahead of the block's own read: the
+// whole group where groupReadWanted says that pays; where it is
+// declined, the request's own physically contiguous blocks as one
+// demand read instead of block by block; and for a block outside any
+// group, sequential readahead — up to Options.Readahead contiguous
+// blocks of the same file in one scatter request.
+func (fs *FS) readFileBlock(in *layout.Inode, ino vfs.Ino, lb, phys, last int64) (*cache.Buf, error) {
+	if (fs.opts.Grouping || fs.opts.Readahead > 0) && fs.c.Peek(phys) == nil {
+		g, grouped := fs.groupOf(phys)
+		var err error
+		switch {
+		case grouped && fs.groupReadWanted(g.id):
+			err = fs.groupRead(g)
+		case grouped:
+			if run := fs.contiguous(in, ino, lb, phys, min(last-lb+1, blockio.MaxTransferBlocks)); run > 1 {
+				err = fs.c.ReadDemand(phys, run)
 			}
-			if run > 1 {
-				if err := fs.c.ReadRun(phys, int(run)); err != nil {
-					return nil, err
-				}
+		case fs.opts.Readahead > 0:
+			fileBlocks := (in.Size + blockio.BlockSize - 1) / blockio.BlockSize
+			if run := fs.contiguous(in, ino, lb, phys, min(int64(fs.opts.Readahead), fileBlocks-lb)); run > 1 {
+				err = fs.c.ReadRun(phys, run)
 			}
 		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	return fs.readBlockGrouped(phys)
+	return fs.c.Read(phys)
+}
+
+// contiguous counts how many of the file's blocks from lb on, at most
+// limit, sit at consecutive physical addresses starting at phys.
+func (fs *FS) contiguous(in *layout.Inode, ino vfs.Ino, lb, phys, limit int64) int {
+	run := int64(1)
+	for run < limit {
+		np, err := fs.bmap(in, ino, lb+run, false)
+		if err != nil || np != phys+run {
+			break
+		}
+		run++
+	}
+	return int(run)
 }
 
 // isInline reports whether a regular file's contents are stored in the

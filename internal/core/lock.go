@@ -19,8 +19,9 @@ import (
 //	                       DebugLoc — everything that mutates no FS
 //	                       state and no block contents. All other
 //	                       operations are writers.
-//	adaptMu                the adaptive group-read window, the one FS
-//	                       field mutated on the (shared) read path.
+//	adaptMu                the group-read policy (fs.gr: controller state
+//	                       and recency window), the one FS field
+//	                       mutated on the (shared) read path.
 //	idxMu                  the per-mount index-trust set (idxFresh),
 //	                       read on the shared lookup path after an
 //	                       unclean mount.

@@ -100,6 +100,10 @@ func (d *Disk) Sectors() int64 { return d.spec.Geom.Sectors() }
 // Clock returns the simulated clock the disk advances.
 func (d *Disk) Clock() *sim.Clock { return d.clock }
 
+// FlatCost reports that a mechanical disk has no flat request price:
+// what a request costs depends on where the arm and the platter are.
+func (d *Disk) FlatCost() (fixedNs, blockNs int64) { return 0, 0 }
+
 // Stats returns a copy of the accumulated counters.
 func (d *Disk) Stats() Stats {
 	d.mu.Lock()

@@ -118,6 +118,13 @@ func (d *Device) Sectors() int64 { return d.sectors }
 // Clock implements blockio.Target.
 func (d *Device) Clock() *sim.Clock { return d.clock }
 
+// FlatCost implements blockio.Target with the two terms serviceNs
+// charges: this is the one device family whose price is flat.
+func (d *Device) FlatCost() (fixedNs, blockNs int64) {
+	_, blockNs = d.serviceNs(blockio.SectorsPerBlock)
+	return int64(d.p.Fixed * 1e9), blockNs
+}
+
 // Parallelism implements the optional device-parallelism probe.
 func (d *Device) Parallelism() int { return d.p.Parallelism() }
 

@@ -113,6 +113,27 @@ func TestBattery(t *testing.T) {
 }
 
 func battery(t *testing.T, p paramSet) {
+	// The price a device declares is the price it charges: a read of n
+	// blocks advances the clock by fixedNs + n*blockNs (the per-block
+	// term is rounded once per request, hence the n ns of slack).
+	t.Run("FlatCost", func(t *testing.T) {
+		d := p.dev(t, 1)
+		fixedNs, blockNs := d.FlatCost()
+		if fixedNs != p.svc(0) || blockNs != p.svc(1)-p.svc(0) {
+			t.Fatalf("declared %d ns + %d ns/block, the parameters say %d + %d",
+				fixedNs, blockNs, p.svc(0), p.svc(1)-p.svc(0))
+		}
+		for _, n := range []int{1, 5, 16} {
+			t0 := d.Clock().Now()
+			if err := d.ReadV(0, blocks(n)); err != nil {
+				t.Fatal(err)
+			}
+			got, want := d.Clock().Now()-t0, fixedNs+int64(n)*blockNs
+			if got < want || got > want+int64(n) {
+				t.Errorf("a %d-block read took %d ns, declared cost %d ns", n, got, want)
+			}
+		}
+	})
 	t.Run("RoundTrip", func(t *testing.T) {
 		d := p.dev(t, 0)
 		got := make([]byte, blockio.BlockSize)

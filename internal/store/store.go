@@ -60,7 +60,10 @@ type Features struct {
 	Parallelism int
 
 	// Seek: positioning cost depends on address distance, so placement
-	// locality matters. False on the object store — that is its point.
+	// locality matters. False on the object store and the ssd — that is
+	// their point — and exactly there the device declares a flat request
+	// price instead (blockio.Target.FlatCost, non-zero iff !Seek), which
+	// is what C-FFS weighs a group read against.
 	Seek bool
 
 	// FileImage: the provider can persist to an image file (Config.Path).

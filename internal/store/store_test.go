@@ -112,6 +112,11 @@ func TestDeclaredFeaturesMatchRuntime(t *testing.T) {
 			if f.Faulty != (bk.Fault != nil) {
 				t.Errorf("Faulty=%v but Fault handle=%v", f.Faulty, bk.Fault)
 			}
+			// A device either positions (cost depends on distance, so it
+			// declares no flat price) or is flat-priced, never both.
+			if fixedNs, blockNs := bk.Target.FlatCost(); f.Seek != (fixedNs == 0 && blockNs == 0) {
+				t.Errorf("Seek=%v but the device declares a flat cost of %d ns + %d ns/block", f.Seek, fixedNs, blockNs)
+			}
 			if f.Stats {
 				buf := make([]byte, blockio.BlockSize)
 				if err := bk.Target.WriteV(0, [][]byte{buf}); err != nil {

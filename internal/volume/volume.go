@@ -210,6 +210,10 @@ func (v *Volume) Sectors() int64 { return v.usable }
 // Clock implements blockio.Target: the shared volume clock.
 func (v *Volume) Clock() *sim.Clock { return v.shared }
 
+// FlatCost implements blockio.Target: the members are mechanical disks,
+// so the volume has no flat request price either.
+func (v *Volume) FlatCost() (fixedNs, blockNs int64) { return 0, 0 }
+
 // Parallelism reports the spindle count. Layers above discover it by
 // interface assertion to scale readahead fan-out and write-behind batch
 // sizes; a plain *disk.Disk does not implement it.
