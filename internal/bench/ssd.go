@@ -71,6 +71,14 @@ var ssdGates = []Gate{
 			p.AtLeast("ssd-aged/C-FFS ssd.gc.runs", float64(p.Counter("ssd-aged/C-FFS", "ssd.gc.runs")), 1)
 			p.AtLeast("ssd-aged/C-FFS ssd.writeamp_x100", float64(p.Counter("ssd-aged/C-FFS", "ssd.writeamp_x100")), ssdAgedWriteAmpMin)
 		}},
+	// Both file systems discard what they free (PR 23). The gate holds the
+	// two ends of that: the discards do reach the FTL, and they are no
+	// whole-device erase — the aged device is still an aged device.
+	{"ssd-ftl", fmt.Sprintf("the aged C-FFS cell shows ssd.trims > 0 and still writeamp_x100 >= %d (discards reach the FTL and leave it aged)", ssdAgedWriteAmpMin),
+		func(p *Probe) {
+			p.AtLeast("ssd-aged/C-FFS ssd.trims", float64(p.Counter("ssd-aged/C-FFS", "ssd.trims")), 1)
+			p.AtLeast("ssd-aged/C-FFS ssd.writeamp_x100", float64(p.Counter("ssd-aged/C-FFS", "ssd.writeamp_x100")), ssdAgedWriteAmpMin)
+		}},
 	{"ssd-channels", "create throughput at 8 channels does not trail 1 channel (batched write-back scales with channels)",
 		func(p *Probe) {
 			p.AtLeast("create f/s at 8 channels", p.Cell("ssd-channels", "create (f/s)", "8"), p.Cell("ssd-channels", "create (f/s)", "1"))

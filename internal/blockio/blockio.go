@@ -53,10 +53,18 @@ func (r *Req) blocks() int { return len(r.Bufs) }
 // wrapper forwards every method declared here and silently hides any
 // that is not, so a policy that read the price by assertion would change
 // whenever the device is merely being observed.
+//
+// Discard tells the device that the sectors hold nothing the host will
+// read again, so a flash device can stop migrating them. It is declared
+// here for the same interposer reason. A device that keeps no mapping
+// (the disk, the volume, the object store) ignores the call; one that
+// acts on it may return junk for the range from then on, so the caller
+// must already be allowed to overwrite it.
 type Target interface {
 	Sectors() int64
 	Clock() *sim.Clock
 	FlatCost() (fixedNs, blockNs int64)
+	Discard(lba int64, nsect int) error
 	Stats() disk.Stats
 	ResetStats()
 	ReadV(lba int64, bufs [][]byte) error
@@ -176,6 +184,53 @@ func (dev *Device) WriteBlockOrdered(block int64, buf []byte) error {
 	lba := block * SectorsPerBlock
 	dev.lastLBA = lba + SectorsPerBlock
 	return dev.tgt.WriteOrdered(lba, buf)
+}
+
+// DiscardBlocks declares n blocks starting at block dead, as one
+// command. The file systems call it from their block-free path, at the
+// point where their own write ordering already lets the blocks be
+// reallocated and overwritten — the only point at which losing the
+// contents is safe. It moves no data and no head, so it neither takes
+// the batch lock nor updates the sweep position.
+func (dev *Device) DiscardBlocks(block int64, n int) error {
+	if n <= 0 || block < 0 || block+int64(n) > dev.Blocks() {
+		return fmt.Errorf("blockio: discard [%d,%d) outside device of %d blocks",
+			block, block+int64(n), dev.Blocks())
+	}
+	return dev.tgt.Discard(block*SectorsPerBlock, n*SectorsPerBlock)
+}
+
+// DiscardRun coalesces the discards of physically adjacent blocks into
+// one command each. It is a value on the stack of the one function that
+// frees many blocks at a stretch (a truncate), flushed before that
+// function returns: a run never outlives the operation that freed its
+// blocks, so it can never hold a block that has since been reallocated
+// and written.
+type DiscardRun struct {
+	start int64
+	n     int
+}
+
+// Add appends block to the run, first issuing the run if block does not
+// extend it.
+func (r *DiscardRun) Add(dev *Device, block int64) error {
+	if r.n > 0 && block == r.start+int64(r.n) {
+		r.n++
+		return nil
+	}
+	err := r.Flush(dev)
+	r.start, r.n = block, 1
+	return err
+}
+
+// Flush issues the pending run, if any.
+func (r *DiscardRun) Flush(dev *Device) error {
+	if r.n == 0 {
+		return nil
+	}
+	n := r.n
+	r.n = 0
+	return dev.DiscardBlocks(r.start, n)
 }
 
 // ReadBlock reads a single block.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"cffs/internal/blockio"
 	"cffs/internal/cache"
 	"cffs/internal/layout"
 	"cffs/internal/vfs"
@@ -291,8 +292,20 @@ func (fs *FS) claimInGroup(ag, k int, owner uint32) (int64, uint32, error) {
 }
 
 // freeBlock releases a block, maintaining the group descriptor when the
-// block was grouped, and drops any cached copy.
-func (fs *FS) freeBlock(phys int64) error {
+// block was grouped, drops any cached copy, and discards the block —
+// at once, or through run when the caller is freeing many and flushes
+// the run before it returns.
+//
+// Every block that leaves a file leaves through here, and a caller may
+// only be here once its own write ordering lets the block be allocated
+// again and overwritten: in ModeSync the ordered write that killed the
+// last reference has already been issued; ModeDelayed orders nothing.
+// That is exactly the condition under which the device may be told the
+// contents are gone, so the discard needs no rule of its own. It must
+// not be held back past this operation, though: the next allocation can
+// hand the block out, and its new contents may reach the device (a
+// WriteSync) before a deferred discard would.
+func (fs *FS) freeBlock(phys int64, run *blockio.DiscardRun) error {
 	ag := fs.agOf(phys)
 	if ag < 0 {
 		return fmt.Errorf("cffs: free of reserved block %d", phys)
@@ -324,7 +337,10 @@ func (fs *FS) freeBlock(phys int64) error {
 	}
 	fs.c.MarkDirty(hdr)
 	fs.c.Invalidate(phys)
-	return nil
+	if run == nil {
+		return fs.dev.DiscardBlocks(phys, 1)
+	}
+	return run.Add(fs.dev, phys)
 }
 
 // usedSpan returns the extent-relative span [lo, lo+n) from the first to

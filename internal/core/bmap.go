@@ -244,6 +244,10 @@ func (fs *FS) truncate(in *layout.Inode, ino vfs.Ino, newSize int64) error {
 	oldBlocks := (in.Size + blockio.BlockSize - 1) / blockio.BlockSize
 	keep := (newSize + blockio.BlockSize - 1) / blockio.BlockSize
 
+	// One discard per physically contiguous run of freed blocks, issued
+	// before anything below can allocate. An error return drops the
+	// pending run: a discard not sent costs the device, never the data.
+	var run blockio.DiscardRun
 	for lb := keep; lb < oldBlocks; lb++ {
 		phys, err := fs.bmap(in, ino, lb, false)
 		if err != nil {
@@ -255,12 +259,15 @@ func (fs *FS) truncate(in *layout.Inode, ino vfs.Ino, newSize int64) error {
 		if err := fs.clearMapping(in, lb); err != nil {
 			return err
 		}
-		if err := fs.freeBlock(phys); err != nil {
+		if err := fs.freeBlock(phys, &run); err != nil {
 			return err
 		}
 		in.NBlocks--
 	}
-	if err := fs.freeEmptyIndirs(in, keep); err != nil {
+	if err := fs.freeEmptyIndirs(in, keep, &run); err != nil {
+		return err
+	}
+	if err := run.Flush(fs.dev); err != nil {
 		return err
 	}
 	if keep == 0 {
@@ -328,12 +335,12 @@ func (fs *FS) clearMapping(in *layout.Inode, lb int64) error {
 
 // freeEmptyIndirs releases indirect blocks once the kept range fits the
 // direct pointers (the unlink/truncate-to-zero case).
-func (fs *FS) freeEmptyIndirs(in *layout.Inode, keep int64) error {
+func (fs *FS) freeEmptyIndirs(in *layout.Inode, keep int64, run *blockio.DiscardRun) error {
 	if keep > layout.NDirect {
 		return nil
 	}
 	if in.Indir != 0 {
-		if err := fs.freeBlock(int64(in.Indir)); err != nil {
+		if err := fs.freeBlock(int64(in.Indir), run); err != nil {
 			return err
 		}
 		in.Indir = 0
@@ -347,7 +354,7 @@ func (fs *FS) freeEmptyIndirs(in *layout.Inode, keep int64) error {
 		le := leBytes{db.Data}
 		for s := 0; s < layout.PtrsPerBlock; s++ {
 			if p := le.u32(s * 4); p != 0 {
-				if err := fs.freeBlock(int64(p)); err != nil {
+				if err := fs.freeBlock(int64(p), run); err != nil {
 					db.Release()
 					return err
 				}
@@ -355,7 +362,7 @@ func (fs *FS) freeEmptyIndirs(in *layout.Inode, keep int64) error {
 			}
 		}
 		db.Release()
-		if err := fs.freeBlock(int64(in.DIndir)); err != nil {
+		if err := fs.freeBlock(int64(in.DIndir), run); err != nil {
 			return err
 		}
 		in.DIndir = 0

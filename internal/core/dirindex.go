@@ -466,7 +466,7 @@ func (fs *FS) idxBuild(in *layout.Inode, dir vfs.Ino, minBuckets int) error {
 	allocated := []int64{rootPhys}
 	abort := func() {
 		for _, p := range allocated {
-			fs.freeBlock(p)
+			fs.freeBlock(p, nil)
 		}
 	}
 	rb, err := fs.c.Alloc(rootPhys)
@@ -547,9 +547,9 @@ func (fs *FS) idxDrop(in *layout.Inode, dir vfs.Ino, trusted bool) error {
 	}
 	rb.Release()
 	for _, p := range bucketPhys {
-		if err := fs.freeBlock(p); err != nil {
+		if err := fs.freeBlock(p, nil); err != nil {
 			return err
 		}
 	}
-	return fs.freeBlock(rootPhys)
+	return fs.freeBlock(rootPhys, nil)
 }

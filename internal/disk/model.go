@@ -104,6 +104,10 @@ func (d *Disk) Clock() *sim.Clock { return d.clock }
 // what a request costs depends on where the arm and the platter are.
 func (d *Disk) FlatCost() (fixedNs, blockNs int64) { return 0, 0 }
 
+// Discard implements blockio.Target: a disk overwrites in place and has
+// no mapping to shrink, so the command is ignored.
+func (d *Disk) Discard(lba int64, nsect int) error { return nil }
+
 // Stats returns a copy of the accumulated counters.
 func (d *Disk) Stats() Stats {
 	d.mu.Lock()

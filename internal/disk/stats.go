@@ -15,6 +15,12 @@ type Stats struct {
 	SeekNanos     int64 // time spent seeking
 	RotateNanos   int64 // time spent in rotational latency
 	TransferNanos int64 // time spent moving bits off the media / bus
+
+	// Discards counts discard commands the device acted on. A discard
+	// moves no data, so it is not a request: Requests, Reads and Writes
+	// stay the paper's transfer counts, and a reader who wants commands
+	// per operation adds this to Requests. Its time is in BusyNanos.
+	Discards int64
 }
 
 // Sub returns s minus t, for per-phase deltas.
@@ -30,6 +36,7 @@ func (s Stats) Sub(t Stats) Stats {
 		SeekNanos:     s.SeekNanos - t.SeekNanos,
 		RotateNanos:   s.RotateNanos - t.RotateNanos,
 		TransferNanos: s.TransferNanos - t.TransferNanos,
+		Discards:      s.Discards - t.Discards,
 	}
 }
 
@@ -48,6 +55,7 @@ func (s Stats) Add(t Stats) Stats {
 		SeekNanos:     s.SeekNanos + t.SeekNanos,
 		RotateNanos:   s.RotateNanos + t.RotateNanos,
 		TransferNanos: s.TransferNanos + t.TransferNanos,
+		Discards:      s.Discards + t.Discards,
 	}
 }
 

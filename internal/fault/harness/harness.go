@@ -134,11 +134,25 @@ func (r *Result) Ok() bool {
 
 // Run records the workload and enumerates its crash states.
 func Run(cfg Config) (*Result, *fault.Log, error) {
+	cfg, err := cfg.fill()
+	if err != nil {
+		return nil, nil, err
+	}
+	snap, log, err := record(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := enumerate(cfg, snap, log)
+	return res, log, err
+}
+
+// fill resolves the config's defaults.
+func (cfg Config) fill() (Config, error) {
 	if cfg.Spec.Name == "" {
 		cfg.Spec = disk.SeagateST31200()
 	}
 	if err := cfg.Spec.Validate(); err != nil { // also derives the geometry totals
-		return nil, nil, err
+		return cfg, err
 	}
 	if cfg.TornSamples == 0 {
 		cfg.TornSamples = 8
@@ -152,7 +166,12 @@ func Run(cfg Config) (*Result, *fault.Log, error) {
 	if cfg.ImageBytes == 0 {
 		cfg.ImageBytes = cfg.Spec.Geom.Bytes()
 	}
+	return cfg, nil
+}
 
+// record runs mkfs and then the workload, once and failure-free, and
+// returns the post-mkfs image with the workload's write stream.
+func record(cfg Config) (snap *disk.MemStore, log *fault.Log, err error) {
 	// Phase 1: mkfs on a pristine store, then snapshot it. The
 	// snapshot is the replay base: crashes during mkfs are out of
 	// scope (the image is not a file system yet).
@@ -160,23 +179,27 @@ func Run(cfg Config) (*Result, *fault.Log, error) {
 	if err := cfg.Mkfs(cfg.NewDevice(cfg.Spec, sim.NewClock(), base)); err != nil {
 		return nil, nil, fmt.Errorf("harness: mkfs: %w", err)
 	}
-	snap := base.Clone()
+	snap = base.Clone()
 
 	// Phase 2: run the workload once over a recorder.
 	rec := fault.NewRecorder(base)
 	if err := cfg.Workload(cfg.NewDevice(cfg.Spec, sim.NewClock(), rec), rec.Mark); err != nil {
 		return nil, nil, fmt.Errorf("harness: workload: %w", err)
 	}
-	log := rec.Log()
+	return snap, rec.Log(), nil
+}
 
-	// Phase 3: enumerate.
+// enumerate is phase 3: every crash state of log over snap, repaired
+// and verified. It is apart from record so a test can check that the
+// oracle sees an ill-ordered stream, by reordering a recorded one.
+func enumerate(cfg Config, snap *disk.MemStore, log *fault.Log) (*Result, error) {
 	res := &Result{Writes: len(log.Entries)}
 	rng := sim.NewRNG(uint64(cfg.Seed)*2 + 1)
 
 	for _, n := range crashBoundaries(len(log.Entries), cfg.MaxCrashPoints) {
 		st := snap.Clone()
 		if err := log.ApplyPrefix(st, n); err != nil {
-			return res, log, err
+			return res, err
 		}
 		res.CrashPoints++
 		checkState(cfg, res, log, st, n, fmt.Sprintf("cut@%d", n))
@@ -185,7 +208,7 @@ func Run(cfg Config) (*Result, *fault.Log, error) {
 	for _, tp := range sampleTorn(log, rng, cfg.TornSamples) {
 		st := snap.Clone()
 		if err := log.ApplyTorn(st, tp.n, tp.sectors); err != nil {
-			return res, log, err
+			return res, err
 		}
 		res.TornStates++
 		checkState(cfg, res, log, st, tp.n, fmt.Sprintf("torn@%d/%d", tp.n, tp.sectors))
@@ -194,7 +217,7 @@ func Run(cfg Config) (*Result, *fault.Log, error) {
 	for _, rp := range sampleReorder(log, rng, cfg.ReorderSamples) {
 		st := snap.Clone()
 		if err := log.ApplyPrefixDropping(st, rp.n, rp.drop); err != nil {
-			return res, log, err
+			return res, err
 		}
 		res.ReorderStates++
 		// No durability oracle here: dropped writes are by definition
@@ -202,7 +225,7 @@ func Run(cfg Config) (*Result, *fault.Log, error) {
 		// ordered barrier vouched for.
 		checkRepair(cfg, res, st, fmt.Sprintf("reorder@%d(-%d)", rp.n, len(rp.drop)))
 	}
-	return res, log, nil
+	return res, nil
 }
 
 // checkState repairs one reconstructed image and, when the config has

@@ -3,6 +3,7 @@ package ffs
 import (
 	"fmt"
 
+	"cffs/internal/blockio"
 	"cffs/internal/cache"
 	"cffs/internal/layout"
 	"cffs/internal/vfs"
@@ -122,9 +123,13 @@ func (fs *FS) allocBlock(prefCG int, pref int64, ino vfs.Ino) (int64, error) {
 	return 0, fmt.Errorf("ffs: %w", vfs.ErrNoSpace)
 }
 
-// freeBlock releases a data block and drops any cached copy so freed
-// data is never written back.
-func (fs *FS) freeBlock(phys int64) error {
+// freeBlock releases a data block, drops any cached copy so freed data
+// is never written back, and adds the block to the discard run of the
+// truncate that is freeing it — the same lever, at the same point, as
+// core's freeBlock, so a flash comparison of the two layouts compares
+// layouts. The name was removed by an ordered write before truncate ran
+// (ModeSync), which is what makes the block reusable and so discardable.
+func (fs *FS) freeBlock(phys int64, run *blockio.DiscardRun) error {
 	cg := fs.cgOf(phys)
 	if cg < 0 || cg >= fs.sb.NCG || phys < fs.sb.dataStart(cg) {
 		return fmt.Errorf("ffs: free of metadata block %d", phys)
@@ -142,7 +147,7 @@ func (fs *FS) freeBlock(phys int64) error {
 	bm.Clear(idx)
 	fs.c.MarkDirty(hdr)
 	fs.c.Invalidate(phys)
-	return nil
+	return run.Add(fs.dev, phys)
 }
 
 // mix64 is the splitmix64 finalizer: a strong bit mixer so that

@@ -224,6 +224,10 @@ func (fs *FS) truncate(in *layout.Inode, ino vfs.Ino, newSize int64) error {
 	oldBlocks := (in.Size + blockio.BlockSize - 1) / blockio.BlockSize
 	keep := (newSize + blockio.BlockSize - 1) / blockio.BlockSize
 
+	// One discard per physically contiguous run, flushed before anything
+	// can allocate; an error return drops the pending run, which costs
+	// the device and never the data.
+	var run blockio.DiscardRun
 	for lb := keep; lb < oldBlocks; lb++ {
 		phys, err := fs.bmap(in, ino, lb, false)
 		if err != nil {
@@ -235,12 +239,15 @@ func (fs *FS) truncate(in *layout.Inode, ino vfs.Ino, newSize int64) error {
 		if err := fs.clearMapping(in, lb); err != nil {
 			return err
 		}
-		if err := fs.freeBlock(phys); err != nil {
+		if err := fs.freeBlock(phys, &run); err != nil {
 			return err
 		}
 		in.NBlocks--
 	}
-	if err := fs.freeEmptyIndirs(in, ino, keep); err != nil {
+	if err := fs.freeEmptyIndirs(in, ino, keep, &run); err != nil {
+		return err
+	}
+	if err := run.Flush(fs.dev); err != nil {
 		return err
 	}
 	if newSize < in.Size && newSize%blockio.BlockSize != 0 {
@@ -310,12 +317,12 @@ func (fs *FS) clearMapping(in *layout.Inode, lb int64) error {
 // case (keep within the direct range), which is what unlink and
 // truncate-to-zero need; partial indirect truncation keeps the indirect
 // blocks, costing at most a few blocks of slack.
-func (fs *FS) freeEmptyIndirs(in *layout.Inode, ino vfs.Ino, keep int64) error {
+func (fs *FS) freeEmptyIndirs(in *layout.Inode, ino vfs.Ino, keep int64, run *blockio.DiscardRun) error {
 	if keep > layout.NDirect {
 		return nil
 	}
 	if in.Indir != 0 {
-		if err := fs.freeBlock(int64(in.Indir)); err != nil {
+		if err := fs.freeBlock(int64(in.Indir), run); err != nil {
 			return err
 		}
 		in.Indir = 0
@@ -329,7 +336,7 @@ func (fs *FS) freeEmptyIndirs(in *layout.Inode, ino vfs.Ino, keep int64) error {
 		le := leBytes{db.Data}
 		for s := 0; s < layout.PtrsPerBlock; s++ {
 			if p := le.u32(s * 4); p != 0 {
-				if err := fs.freeBlock(int64(p)); err != nil {
+				if err := fs.freeBlock(int64(p), run); err != nil {
 					db.Release()
 					return err
 				}
@@ -337,7 +344,7 @@ func (fs *FS) freeEmptyIndirs(in *layout.Inode, ino vfs.Ino, keep int64) error {
 			}
 		}
 		db.Release()
-		if err := fs.freeBlock(int64(in.DIndir)); err != nil {
+		if err := fs.freeBlock(int64(in.DIndir), run); err != nil {
 			return err
 		}
 		in.DIndir = 0

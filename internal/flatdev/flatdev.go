@@ -10,11 +10,13 @@
 // parameterised by plain values, not an interface with two
 // implementations: both users price a request as fixed + bytes/bandwidth
 // and no second shape exists. The one place a backend runs its own code
-// is the optional write hook, through which the ssd maps each write
-// through its FTL and charges the garbage collection it forced.
+// is the optional pair of hooks through which the ssd keeps its FTL:
+// each write is mapped and charged the garbage collection it forced,
+// each discard unmaps.
 package flatdev
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -35,6 +37,12 @@ type Params struct {
 	Fixed     float64 // per-request cost in seconds, whatever the size
 	Bandwidth float64 // streaming rate of one request, bytes/second
 	Channels  int     // requests serviced concurrently; 0 means unbounded
+
+	// DiscardPage is the unit, in bytes, in which the device drops
+	// discarded data: a discard destroys every whole unit its range
+	// covers. Zero means the device keeps no mapping and ignores
+	// discards.
+	DiscardPage int
 }
 
 // Validate checks the parameters for usable values.
@@ -47,6 +55,9 @@ func (p Params) Validate() error {
 	}
 	if p.Channels < 0 {
 		return fmt.Errorf("%s: negative channel count %d", p.Name, p.Channels)
+	}
+	if p.DiscardPage < 0 || p.DiscardPage%disk.SectorSize != 0 {
+		return fmt.Errorf("%s: discard page of %d bytes is not a sector multiple", p.Name, p.DiscardPage)
 	}
 	return nil
 }
@@ -67,6 +78,16 @@ func (p Params) Parallelism() int {
 // the request before it is accounted.
 type WriteHook func(lba int64, nsect int) (extraNs int64, err error)
 
+// DiscardHook is called with the device mutex held, once per discard
+// that covers at least one whole page, with exactly the pages covered.
+type DiscardHook func(lba int64, nsect int) error
+
+// PoisonByte fills every page a discard destroys. A real drive returns
+// junk for a discarded range; writing the junk into the byte store makes
+// a discard of a block something still points at a wrong read, a failed
+// check and a crash state like any other, not an accounting event.
+const PoisonByte = 0xDC
+
 var (
 	_ blockio.Target         = (*Device)(nil)
 	_ blockio.BatchSubmitter = (*Device)(nil)
@@ -82,14 +103,17 @@ type Device struct {
 	sectors int64
 	onWrite WriteHook // nil when writes cost no more than reads
 
+	poison    []byte      // one page of PoisonByte; nil when discards are ignored
+	onDiscard DiscardHook // may be nil
+
 	mu    sync.Mutex
 	stats disk.Stats
 	disk.Observers
 }
 
 // New builds a device of the given byte capacity (a sector multiple)
-// over an existing byte store. onWrite may be nil.
-func New(p Params, clock *sim.Clock, st disk.Store, capacity int64, onWrite WriteHook) (*Device, error) {
+// over an existing byte store. Either hook may be nil.
+func New(p Params, clock *sim.Clock, st disk.Store, capacity int64, onWrite WriteHook, onDiscard DiscardHook) (*Device, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -102,6 +126,10 @@ func New(p Params, clock *sim.Clock, st disk.Store, capacity int64, onWrite Writ
 		store:   st,
 		sectors: capacity / disk.SectorSize,
 		onWrite: onWrite,
+	}
+	if p.DiscardPage > 0 {
+		d.poison = bytes.Repeat([]byte{PoisonByte}, p.DiscardPage)
+		d.onDiscard = onDiscard
 	}
 	d.Observers.Bind(&d.mu)
 	return d, nil
@@ -263,6 +291,41 @@ func (d *Device) rw(lba int64, bufs [][]byte, write, ordered bool) error {
 	}
 	d.clock.Advance(svc + extra)
 	return d.move(lba*disk.SectorSize, bufs, write, ordered)
+}
+
+// Discard implements blockio.Target. A discard is a command, so it pays
+// the fixed request term on the clock and in BusyNanos; it moves no
+// data, so it is counted in Stats.Discards and not as a request, and it
+// is not traced. Every whole page the range covers is overwritten with
+// the poison page through the store's ordinary write: the recorder, the
+// fault injector, a file image and every later read see destroyed data,
+// and the byte store still holds exactly what the device would return.
+// Then the discard hook unmaps the same pages.
+func (d *Device) Discard(lba int64, nsect int) error {
+	if err := d.Check(lba, nsect); err != nil {
+		return err
+	}
+	if d.poison == nil {
+		return nil
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	fixed, _ := d.serviceNs(0)
+	d.stats.Discards++
+	d.stats.BusyNanos += fixed
+	d.clock.Advance(fixed)
+	spp := int64(len(d.poison) / disk.SectorSize)
+	first := (lba + spp - 1) / spp * spp // round in: whole pages only
+	end := (lba + int64(nsect)) / spp * spp
+	for s := first; s < end; s += spp {
+		if err := d.store.WriteAt(d.poison, s*disk.SectorSize); err != nil {
+			return err
+		}
+	}
+	if d.onDiscard == nil || first >= end {
+		return nil
+	}
+	return d.onDiscard(first, int(end-first))
 }
 
 // SubmitBlocks implements blockio.BatchSubmitter. There is no head

@@ -7,6 +7,7 @@ import (
 
 	"cffs/internal/blockio"
 	"cffs/internal/disk"
+	"cffs/internal/flatdev"
 	"cffs/internal/objstore"
 	"cffs/internal/sim"
 	"cffs/internal/ssd"
@@ -25,19 +26,20 @@ type flat interface {
 type paramSet struct {
 	name      string
 	fixed, bw float64 // seconds per request, bytes per second
+	discards  bool    // the device acts on a discard (it has a page size)
 	open      func(channels int, st disk.Store) (flat, error)
 }
 
 const capacity = 1 << 20 // 256 blocks; no battery write volume wraps the ssd's log
 
 var paramSets = []paramSet{
-	{"ssd", ssd.DefaultSpec().ReqOverhead, ssd.DefaultSpec().Bandwidth,
+	{"ssd", ssd.DefaultSpec().ReqOverhead, ssd.DefaultSpec().Bandwidth, true,
 		func(channels int, st disk.Store) (flat, error) {
 			spec := ssd.DefaultSpec()
 			spec.Channels = channels
 			return ssd.New(spec, sim.NewClock(), st, capacity)
 		}},
-	{"objstore", objstore.DefaultSpec().RTT, objstore.DefaultSpec().Bandwidth,
+	{"objstore", objstore.DefaultSpec().RTT, objstore.DefaultSpec().Bandwidth, false,
 		func(channels int, st disk.Store) (flat, error) {
 			spec := objstore.DefaultSpec()
 			spec.Channels = channels
@@ -294,6 +296,66 @@ func battery(t *testing.T, p paramSet) {
 			t.Fatal("a plain write took the barrier path")
 		}
 		wantClock(t, d, 3*p.svc(1)) // the barrier costs what a write costs
+	})
+
+	// A discard is a command, not a request: a device with a page size
+	// charges it the fixed term, counts it apart, destroys the whole
+	// pages it covers through the byte store's ordinary write, and leaves
+	// the trace alone; a device without one ignores it. Both refuse a
+	// range outside the device.
+	t.Run("Discard", func(t *testing.T) {
+		spy := &orderedSpy{Store: disk.NewMemStore(capacity)}
+		d, err := p.open(0, spy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.WriteV(0, [][]byte{block(1), block(2), block(3)}); err != nil {
+			t.Fatal(err)
+		}
+		var trace []disk.TraceEntry
+		d.SetTrace(&trace)
+		t0, st0 := d.Clock().Now(), d.Stats()
+		// One sector short at each end of three blocks: block 1 is whole.
+		if err := d.Discard(1, 3*blockio.SectorsPerBlock-2); err != nil {
+			t.Fatal(err)
+		}
+		want := [][]byte{block(1), block(2), block(3)}
+		var cost, discards int64
+		if p.discards {
+			want[1], cost, discards = block(flatdev.PoisonByte), p.svc(0), 1
+		}
+		got := blocks(3)
+		if err := d.ReadV(0, got); err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("block %d after the discard starts %#x, want %#x", i, got[i][0], want[i][0])
+			}
+		}
+		st := d.Stats().Sub(st0)
+		if st.Discards != discards || st.BusyNanos != cost+p.svc(3) || st.Requests != 1 || st.Writes != 0 {
+			t.Errorf("a discard and a 3-block read accounted as %+v, want %d discards busy %d ns beside the read",
+				st, discards, cost)
+		}
+		if got := d.Clock().Now() - t0; got != cost+p.svc(3) {
+			t.Errorf("clock advanced %d ns, want %d for the discard + %d for the read", got, cost, p.svc(3))
+		}
+		if len(trace) != 1 || spy.ordered != 0 {
+			t.Errorf("trace holds %d entries (want the read alone), %d barrier writes (want 0)", len(trace), spy.ordered)
+		}
+		for what, err := range map[string]error{
+			"past the end":  d.Discard(d.Sectors()-1, 2),
+			"negative LBA":  d.Discard(-8, 8),
+			"empty discard": d.Discard(0, 0),
+		} {
+			if err == nil {
+				t.Errorf("discard %s accepted", what)
+			}
+		}
+		if st := d.Stats().Sub(st0); st.Discards != discards {
+			t.Errorf("refused discards were counted: %+v", st)
+		}
 	})
 
 	t.Run("TraceStamping", func(t *testing.T) {

@@ -123,6 +123,11 @@ type FS struct {
 	usage  []int
 	owners map[int64]owner // log block -> owner
 
+	// emptied marks segments whose last live block died during this
+	// mount. Sync discards them once its checkpoint is durable
+	// (discardEmptied).
+	emptied []bool
+
 	// The inode map and in-memory inode cache. imap[idx] is the log
 	// address of the inode's current on-disk copy (0 = never flushed).
 	imap      []uint32
@@ -180,6 +185,7 @@ func newFS(dev *blockio.Device, opts Options) *FS {
 		nsegs:    nsegs,
 		segStart: segStart,
 		usage:    make([]int, nsegs),
+		emptied:  make([]bool, nsegs),
 		owners:   make(map[int64]owner),
 		imap:     make([]uint32, MaxInodes),
 		inodes:   make(map[vfs.Ino]*layout.Inode),
@@ -350,7 +356,10 @@ func (fs *FS) Sync() error {
 		return err
 	}
 	// 4. Checkpoint.
-	return fs.writeCheckpoint()
+	if err := fs.writeCheckpoint(); err != nil {
+		return err
+	}
+	return fs.discardEmptied()
 }
 
 // Flush implements vfs.Flusher.

@@ -10,6 +10,7 @@ import (
 	"cffs/internal/fstest"
 	"cffs/internal/sched"
 	"cffs/internal/sim"
+	"cffs/internal/ssd"
 	"cffs/internal/vfs"
 )
 
@@ -242,6 +243,79 @@ func TestCrashRollsBackToCheckpoint(t *testing.T) {
 	}
 	if !rep.Clean() {
 		t.Fatalf("recovered image not clean: %v", rep.Problems)
+	}
+}
+
+// A segment is discarded only after the checkpoint that stopped
+// referencing it: until then a crash rolls back to a checkpoint that
+// still reaches its blocks, and a discard destroys them.
+func TestDiscardWaitsForCheckpoint(t *testing.T) {
+	d, err := ssd.NewMem(ssd.DefaultSpec(), sim.NewClock(), 64<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := blockio.NewDevice(d, sched.CLook{})
+	fs, err := Mkfs(dev, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := func(i int) []byte {
+		return bytes.Repeat([]byte{byte(0x40 + i)}, SegBlocks*blockio.BlockSize/2)
+	}
+	const files = 8 // four segments' worth
+	for i := 0; i < files; i++ {
+		if err := vfs.WriteFile(fs, fmt.Sprintf("/big%d", i), content(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < files; i++ {
+		if err := vfs.Remove(fs, fmt.Sprintf("/big%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := d.Stats().Discards; n != 0 {
+		t.Fatalf("%d discards before the checkpoint that drops the segments", n)
+	}
+	// CRASH here: the old checkpoint reaches every file, intact.
+	crashed, err := Mount(dev, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < files; i++ {
+		if got, err := vfs.ReadFile(crashed, fmt.Sprintf("/big%d", i)); err != nil || !bytes.Equal(got, content(i)) {
+			t.Fatalf("file %d after a crash before the checkpoint: %v", i, err)
+		}
+	}
+
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	st, ftl := d.Stats(), d.FTL()
+	if st.Discards == 0 || ftl.Trims < 2*SegBlocks {
+		t.Fatalf("%d discards unmapped %d pages after deleting %d segments of data", st.Discards, ftl.Trims, (files-1)/2)
+	}
+	if ftl.Trims%SegBlocks != 0 || int64(ftl.Trims/SegBlocks) != st.Discards {
+		t.Fatalf("%d discards unmapped %d pages, want whole %d-block segments, one command each", st.Discards, ftl.Trims, SegBlocks)
+	}
+	// CRASH again: the new checkpoint reaches what is left, intact.
+	crashed, err = Mount(dev, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := vfs.ReadFile(crashed, "/big0"); err != nil || !bytes.Equal(got, content(0)) {
+		t.Fatalf("surviving file after the discards: %v", err)
+	}
+	if _, err := vfs.Walk(crashed, "/big1"); err == nil {
+		t.Fatal("deleted file reachable after the checkpoint")
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := Check(dev, false); err != nil || !rep.Clean() {
+		t.Fatalf("image after discards: %v, %v", err, rep)
 	}
 }
 

@@ -29,10 +29,45 @@ func (fs *FS) dead(addr int64) {
 		return
 	}
 	if _, ok := fs.owners[addr]; ok {
-		delete(fs.owners, addr)
-		fs.usage[fs.segOf(addr)]--
+		fs.unaccount(addr)
 	}
 	fs.c.Invalidate(addr)
+}
+
+// unaccount removes a live block from the reverse map and its segment's
+// count, noting a segment that just emptied for the next checkpoint.
+func (fs *FS) unaccount(addr int64) {
+	delete(fs.owners, addr)
+	seg := fs.segOf(addr)
+	fs.usage[seg]--
+	if fs.usage[seg] == 0 {
+		fs.emptied[seg] = true
+	}
+}
+
+// discardEmptied tells the device that the segments emptied since the
+// last checkpoint hold nothing, one command per segment. Sync calls it
+// right after the checkpoint write, and no earlier: until then the
+// durable checkpoint still reaches the blocks that died in memory, and a
+// crash rolls back to it. After it, nothing durable references an empty
+// segment, which is the state in which the log may write over it — so
+// it is the state in which it may be discarded. A segment the log has
+// refilled in the meantime is no longer empty and is dropped from the
+// set; the log head itself waits for a later checkpoint.
+func (fs *FS) discardEmptied() error {
+	for seg, was := range fs.emptied {
+		if !was || seg == fs.curSeg {
+			continue
+		}
+		fs.emptied[seg] = false
+		if fs.usage[seg] != 0 {
+			continue
+		}
+		if err := fs.dev.DiscardBlocks(fs.segStart+int64(seg)*SegBlocks, SegBlocks); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // freeSegments counts completely dead segments (excluding the one being
@@ -141,8 +176,7 @@ func (fs *FS) relocate(addr int64, ow owner) error {
 
 	// Claim the new home. Remove the old accounting first so allocLog
 	// can never hand the victim's own block back.
-	delete(fs.owners, addr)
-	fs.usage[fs.segOf(addr)]--
+	fs.unaccount(addr)
 	fs.c.Invalidate(addr)
 	dst, err := fs.allocLog(ow)
 	if err != nil {

@@ -79,7 +79,7 @@ type Store struct {
 // New builds an object store of the given byte capacity (a sector
 // multiple) over an existing byte store.
 func New(spec Spec, clock *sim.Clock, st disk.Store, capacity int64) (*Store, error) {
-	k, err := flatdev.New(spec.params(), clock, st, capacity, nil)
+	k, err := flatdev.New(spec.params(), clock, st, capacity, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -122,13 +122,16 @@ func (f *ftl) write(lpn int) (gcCost, error) {
 }
 
 // trim unmaps one logical page (the host declares it dead), turning its
-// physical page invalid without programming anything.
+// physical page invalid without programming anything. trims counts the
+// pages that were mapped: a page already unmapped is not work.
 func (f *ftl) trim(lpn int) error {
 	if lpn < 0 || lpn >= f.nLogical {
 		return fmt.Errorf("ssd: logical page %d outside [0,%d)", lpn, f.nLogical)
 	}
-	f.invalidate(lpn)
-	f.trims++
+	if f.l2p[lpn] >= 0 {
+		f.invalidate(lpn)
+		f.trims++
+	}
 	return nil
 }
 

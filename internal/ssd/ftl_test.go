@@ -110,9 +110,15 @@ func TestFTLTrim(t *testing.T) {
 	if f.trims != 1 {
 		t.Fatalf("trims=%d", f.trims)
 	}
-	// Trimming an unmapped page is a no-op, not an error.
-	if err := f.trim(100); err != nil {
-		t.Fatal(err)
+	// Trimming an unmapped page — never written, or trimmed already —
+	// is a no-op, not an error, and not counted as work.
+	for _, lpn := range []int{100, 3} {
+		if err := f.trim(lpn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f.trims != 1 {
+		t.Fatalf("trims=%d after trimming two unmapped pages, want 1", f.trims)
 	}
 	checkFTL(t, f)
 }

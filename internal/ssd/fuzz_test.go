@@ -4,9 +4,10 @@ import "testing"
 
 // FuzzSSDMapping drives random write/trim sequences through the FTL and
 // checks the mapping against a flat-array oracle: a logical page is
-// mapped exactly when the oracle says it is live, every structural
-// invariant holds (checkFTL), and the free pool never drops below the
-// reserve — GC progress under arbitrary interleavings.
+// mapped exactly when the oracle says it is live, trims counts exactly
+// the trims that found their page live, every structural invariant
+// holds (checkFTL), and the free pool never drops below the reserve —
+// GC progress under arbitrary interleavings.
 //
 // The byte stream decodes as 2-byte ops: the first byte selects the
 // action (trim on 0 mod 4, write otherwise, so writes dominate and the
@@ -29,11 +30,15 @@ func FuzzSSDMapping(f *testing.F) {
 			t.Fatal(err)
 		}
 		live := make([]bool, ft.nLogical) // the oracle
+		var trims int64
 		for i := 0; i+1 < len(data); i += 2 {
 			lpn := int(data[i+1]) % ft.nLogical
 			if data[i]%4 == 0 {
 				if err := ft.trim(lpn); err != nil {
 					t.Fatal(err)
+				}
+				if live[lpn] {
+					trims++
 				}
 				live[lpn] = false
 			} else {
@@ -50,6 +55,9 @@ func FuzzSSDMapping(f *testing.F) {
 			if got := ft.l2p[lpn] >= 0; got != want {
 				t.Fatalf("page %d: mapped=%v, oracle live=%v", lpn, got, want)
 			}
+		}
+		if ft.trims != trims {
+			t.Fatalf("trims=%d, oracle counted %d trims of a live page", ft.trims, trims)
 		}
 		checkFTL(t, ft)
 		if ft.flashPages < ft.hostPages {

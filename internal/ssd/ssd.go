@@ -21,10 +21,10 @@
 //
 // The request engine — validation, timing, batching across channels,
 // statistics — is internal/flatdev, shared with objstore; this package
-// is its microsecond parameter set plus the FTL on its write hook.
-// Unlike the disk and objstore models, the ssd carries state that
-// timing depends on (the FTL mapping); like them, it is fully
-// deterministic, so aged-image benchmarks reproduce bit-for-bit.
+// is its microsecond parameter set plus the FTL on its write and
+// discard hooks. Unlike the disk and objstore models, the ssd carries
+// state that timing depends on (the FTL mapping); like them, it is
+// fully deterministic, so aged-image benchmarks reproduce bit-for-bit.
 package ssd
 
 import (
@@ -123,7 +123,8 @@ func (s Spec) Validate() error {
 
 // params is the spec's share of the flat-cost request engine.
 func (s Spec) params() flatdev.Params {
-	return flatdev.Params{Name: "ssd", Fixed: s.ReqOverhead, Bandwidth: s.Bandwidth, Channels: s.Channels}
+	return flatdev.Params{Name: "ssd", Fixed: s.ReqOverhead, Bandwidth: s.Bandwidth, Channels: s.Channels,
+		DiscardPage: s.PageBytes}
 }
 
 // Parallelism reports how many requests a device with this spec
@@ -133,13 +134,16 @@ func (s Spec) Parallelism() int { return s.params().Parallelism() }
 // Store is a simulated flash device presenting a flat logical sector
 // address space over a byte store: the flat-cost request engine, which
 // supplies blockio.Target, blockio.BatchSubmitter and the Parallelism
-// probe, with the FTL attached as its write hook. It is safe for
+// probe, with the FTL attached as its write and discard hooks. It is safe for
 // concurrent use; the engine's one mutex serializes the timing model,
 // the FTL, and statistics.
 //
 // The FTL is accounting, not a data path: the byte store always holds
 // logical data at logical offsets, so fsck, fault injection, and
-// crash-state reconstruction work on the ssd backend unchanged.
+// crash-state reconstruction work on the ssd backend unchanged. A
+// discard (blockio.Target.Discard, the engine's) keeps that true the
+// only way it can: the pages the FTL forgets are overwritten with the
+// engine's poison page, which is what the logical address now reads.
 type Store struct {
 	*flatdev.Device
 	spec Spec
@@ -166,7 +170,7 @@ func New(spec Spec, clock *sim.Clock, st disk.Store, capacity int64) (*Store, er
 		return nil, err
 	}
 	d := &Store{spec: spec}
-	k, err := flatdev.New(spec.params(), clock, st, capacity, d.ftlWrite)
+	k, err := flatdev.New(spec.params(), clock, st, capacity, d.ftlWrite, d.ftlDiscard)
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +233,7 @@ type FTLStats struct {
 	Moved      int64   // pages relocated by GC
 	Erases     int64   // erase operations
 	GCRuns     int64   // GC activations
-	Trims      int64   // logical pages trimmed
+	Trims      int64   // mapped logical pages a discard unmapped
 	WriteAmp   float64 // FlashPages / HostPages
 	MaxErase   int32   // highest per-block erase count
 	FreeBlocks int     // current free pool size
@@ -295,26 +299,20 @@ func (d *Store) ftlWrite(lba int64, nsect int) (int64, error) {
 	return gc, nil
 }
 
-// Trim declares a sector run dead: the FTL unmaps every page fully
-// covered by the run, so GC never migrates its contents. Timing-free —
-// trims ride in the host's command stream.
-func (d *Store) Trim(lba int64, nsect int) error {
-	if err := d.Check(lba, nsect); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// ftlDiscard is the engine's discard hook, so it runs with d.mu held
+// and is handed whole pages: the FTL unmaps them, so GC never migrates
+// their contents again. ssd.trims counts the pages that were mapped —
+// discarding a page twice is not work done twice. The command's cost
+// and the destroyed bytes are the engine's (flatdev.Device.Discard).
+func (d *Store) ftlDiscard(lba int64, nsect int) error {
 	spp := int64(d.spec.PageBytes / disk.SectorSize)
-	first := (lba + spp - 1) / spp     // round up: only whole pages
-	last := (lba + int64(nsect)) / spp // round down
-	n := int64(0)
-	for lpn := first; lpn < last; lpn++ {
+	before := d.ftl.trims
+	for lpn, end := lba/spp, (lba+int64(nsect))/spp; lpn < end; lpn++ {
 		if err := d.ftl.trim(int(lpn)); err != nil {
 			return err
 		}
-		n++
 	}
-	d.mTrims.Add(n)
+	d.mTrims.Add(d.ftl.trims - before)
 	d.updateGauges()
 	return nil
 }

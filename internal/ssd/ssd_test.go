@@ -8,6 +8,7 @@ import (
 
 	"cffs/internal/blockio"
 	"cffs/internal/disk"
+	"cffs/internal/flatdev"
 	"cffs/internal/obs"
 	"cffs/internal/sim"
 )
@@ -173,23 +174,59 @@ func TestSubmitBlocksBoundedChannels(t *testing.T) {
 	}
 }
 
+// TestTrimUnmapsWholePages drives the one discard entry point: the
+// command pays the fixed request term and nothing else, is counted as a
+// discard and not as a request, unmaps and poisons exactly the whole
+// pages its range covers, and counts a page only the first time.
 func TestTrimUnmapsWholePages(t *testing.T) {
-	d := newTestStore(t, DefaultSpec())
+	spec := DefaultSpec()
+	d := newTestStore(t, spec)
 	reg := obs.NewRegistry()
 	d.SetMetrics(reg)
-	buf := make([]byte, 4*blockio.BlockSize)
-	if err := d.WriteV(0, [][]byte{buf}); err != nil {
+	data := bytes.Repeat([]byte{0xAB}, 4*blockio.BlockSize)
+	if err := d.WriteV(0, [][]byte{data}); err != nil {
 		t.Fatal(err)
 	}
-	before := d.Clock().Now()
-	if err := d.Trim(0, 4*blockio.SectorsPerBlock); err != nil {
+	before, st0 := d.Clock().Now(), d.Stats()
+	// Sectors [4, 28): pages 1 and 2 whole, halves of pages 0 and 3.
+	if err := d.Discard(4, 3*blockio.SectorsPerBlock); err != nil {
 		t.Fatal(err)
 	}
-	if d.Clock().Now() != before {
-		t.Fatal("trim advanced the clock")
+	fixed := int64(spec.ReqOverhead * 1e9)
+	if got := d.Clock().Now() - before; got != fixed {
+		t.Fatalf("discard advanced the clock %d ns, want the fixed request cost %d", got, fixed)
+	}
+	st := d.Stats().Sub(st0)
+	if st.Discards != 1 || st.Requests != 0 || st.Writes != 0 || st.BusyNanos != fixed {
+		t.Fatalf("one discard accounted as %+v", st)
+	}
+	if got := reg.Snapshot().Counter("ssd.trims"); got != 2 {
+		t.Fatalf("trimmed %d pages, want the 2 whole ones", got)
+	}
+	got := make([]byte, 4*blockio.BlockSize)
+	if err := d.ReadV(0, [][]byte{got}); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(nil), data...)
+	for i := blockio.BlockSize; i < 3*blockio.BlockSize; i++ {
+		want[i] = flatdev.PoisonByte
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("discard did not poison exactly the covered whole pages")
+	}
+	// The same range again, plus one page never written: nothing mapped,
+	// nothing counted.
+	if err := d.Discard(0, 4*blockio.SectorsPerBlock); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Discard(64*blockio.SectorsPerBlock, blockio.SectorsPerBlock); err != nil {
+		t.Fatal(err)
 	}
 	if got := reg.Snapshot().Counter("ssd.trims"); got != 4 {
-		t.Fatalf("trimmed %d pages, want 4", got)
+		t.Fatalf("ssd.trims=%d after re-discarding, want 4 (pages 0 and 3 were still mapped)", got)
+	}
+	if f := d.FTL(); f.Trims != 4 {
+		t.Fatalf("FTL().Trims=%d, want 4", f.Trims)
 	}
 }
 
@@ -201,10 +238,10 @@ func TestBoundsAndValidation(t *testing.T) {
 	if err := d.WriteV(testCap/disk.SectorSize, [][]byte{make([]byte, blockio.BlockSize)}); err == nil {
 		t.Fatal("out-of-range write accepted")
 	}
-	if err := d.Trim(-8, 8); err == nil {
-		t.Fatal("negative-LBA trim accepted")
+	if err := d.Discard(-8, 8); err == nil {
+		t.Fatal("negative-LBA discard accepted")
 	}
-	if f := d.FTL(); f.HostPages != 0 || f.Trims != 0 {
+	if f := d.FTL(); f.HostPages != 0 || f.Trims != 0 || d.Stats().Discards != 0 {
 		t.Fatalf("refused requests reached the FTL: %+v", f)
 	}
 	bad := DefaultSpec()
@@ -234,7 +271,7 @@ func TestParallelismProbe(t *testing.T) {
 }
 
 // TestConcurrentUse hammers every entry point of one aged device at
-// once. The engine's mutex is the FTL's only guard — Trim, FTL and
+// once. The engine's mutex is the FTL's only guard — Discard, FTL and
 // SetMetrics borrow it — so this is a -race test of that one-mutex rule.
 func TestConcurrentUse(t *testing.T) {
 	spec := DefaultSpec()
@@ -257,7 +294,7 @@ func TestConcurrentUse(t *testing.T) {
 			})
 			return err
 		},
-		func(i int64) error { return d.Trim(i*5%blocks*blockio.SectorsPerBlock, blockio.SectorsPerBlock) },
+		func(i int64) error { return d.Discard(i*5%blocks*blockio.SectorsPerBlock, blockio.SectorsPerBlock) },
 		func(i int64) error { _ = d.FTL(); _ = d.Stats(); d.ResetStats(); return nil },
 		func(i int64) error { d.SetMetrics(obs.NewRegistry()); return nil },
 		func(i int64) error {

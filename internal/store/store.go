@@ -74,6 +74,13 @@ type Features struct {
 
 	// Stats: per-request accounting (disk.Stats) is maintained.
 	Stats bool
+
+	// Discard: the device acts on blockio.Target.Discard — it drops the
+	// range from its mapping, counts the command in disk.Stats.Discards
+	// and returns junk for the range afterwards. False means the call is
+	// accepted and ignored. The file systems never ask: they discard
+	// every block they free, on every device.
+	Discard bool
 }
 
 // Config selects and parameterizes a backend.
@@ -366,7 +373,9 @@ func ssdSpec(cfg Config) ssd.Spec {
 }
 
 func ssdFeatures(cfg Config) Features {
-	return flatFeatures(cfg, ssdSpec(cfg).Parallelism())
+	f := flatFeatures(cfg, ssdSpec(cfg).Parallelism())
+	f.Discard = true
+	return f
 }
 
 func openSSD(cfg Config) (*Backend, error) {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -65,7 +66,7 @@ func TestWrapperPreservesInnerFeatures(t *testing.T) {
 		out := p.FeaturesFor(cfg)
 		if out.Ordered != in.Ordered || out.AtomicSectors != in.AtomicSectors ||
 			out.AtomicRequests != in.AtomicRequests || out.Seek != in.Seek ||
-			out.FileImage != in.FileImage || out.Stats != in.Stats {
+			out.FileImage != in.FileImage || out.Stats != in.Stats || out.Discard != in.Discard {
 			t.Errorf("%s (wraps %s): features %+v do not preserve inner %+v",
 				p.Name, p.Wraps, out, in)
 		}
@@ -125,6 +126,24 @@ func TestDeclaredFeaturesMatchRuntime(t *testing.T) {
 				if st := bk.Target.Stats(); st.Requests == 0 || st.Writes == 0 {
 					t.Errorf("Stats declared but no accounting after a write: %+v", st)
 				}
+			}
+			// A device discards exactly when it says so: the block reads
+			// back destroyed and the command was counted, or neither.
+			pat := bytes.Repeat([]byte{0xA5}, blockio.BlockSize)
+			got := make([]byte, blockio.BlockSize)
+			if err := bk.Target.WriteV(0, [][]byte{pat}); err != nil {
+				t.Fatalf("WriteV: %v", err)
+			}
+			before := bk.Target.Stats().Discards
+			if err := bk.Target.Discard(0, blockio.SectorsPerBlock); err != nil {
+				t.Fatalf("Discard: %v", err)
+			}
+			if err := bk.Target.ReadV(0, [][]byte{got}); err != nil {
+				t.Fatalf("ReadV: %v", err)
+			}
+			changed, rose := !bytes.Equal(got, pat), bk.Target.Stats().Discards > before
+			if changed != rose || f.Discard != changed {
+				t.Errorf("Discard=%v but the block changed=%v and Stats.Discards rose=%v", f.Discard, changed, rose)
 			}
 		})
 	}

@@ -214,6 +214,10 @@ func (v *Volume) Clock() *sim.Clock { return v.shared }
 // so the volume has no flat request price either.
 func (v *Volume) FlatCost() (fixedNs, blockNs int64) { return 0, 0 }
 
+// Discard implements blockio.Target: the members ignore it, so the
+// volume does not bother splitting it across them.
+func (v *Volume) Discard(lba int64, nsect int) error { return nil }
+
 // Parallelism reports the spindle count. Layers above discover it by
 // interface assertion to scale readahead fan-out and write-behind batch
 // sizes; a plain *disk.Disk does not implement it.
