@@ -201,11 +201,11 @@ func (dev *Device) DiscardBlocks(block int64, n int) error {
 }
 
 // DiscardRun coalesces the discards of physically adjacent blocks into
-// one command each. It is a value on the stack of the one function that
-// frees many blocks at a stretch (a truncate), flushed before that
-// function returns: a run never outlives the operation that freed its
-// blocks, so it can never hold a block that has since been reallocated
-// and written.
+// one command each. It belongs to the one function that frees many
+// blocks at a stretch (bmap.Tree.Shrink, under every truncate), which
+// starts it empty and flushes it before returning: a run never outlives
+// the operation that freed its blocks, so it can never hold a block
+// that has since been reallocated and written.
 type DiscardRun struct {
 	start int64
 	n     int

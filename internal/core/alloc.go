@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -33,14 +34,14 @@ func (fs *FS) blockBitmap(hdr *cache.Buf) layout.Bitmap {
 }
 
 func readDesc(hdr *cache.Buf, k int) groupDesc {
-	le := leBytes{hdr.Data}
-	return groupDesc{Owner: le.u32(agDescOff + k*8), Used: le.u16(agDescOff + k*8 + 4)}
+	le := binary.LittleEndian
+	return groupDesc{Owner: le.Uint32(hdr.Data[agDescOff+k*8:]), Used: le.Uint16(hdr.Data[agDescOff+k*8+4:])}
 }
 
 func writeDesc(hdr *cache.Buf, k int, d groupDesc) {
-	le := leBytes{hdr.Data}
-	le.pu32(agDescOff+k*8, d.Owner)
-	le.pu16(agDescOff+k*8+4, d.Used)
+	le := binary.LittleEndian
+	le.PutUint32(hdr.Data[agDescOff+k*8:], d.Owner)
+	le.PutUint16(hdr.Data[agDescOff+k*8+4:], d.Used)
 }
 
 // agOf returns the allocation group containing a physical block, or -1
@@ -455,9 +456,9 @@ func (fs *FS) coldInodeBlocks(ag int) []cache.Run {
 		if n > layout.PtrsPerBlock {
 			n = layout.PtrsPerBlock
 		}
-		le := leBytes{mb.Data}
+		le := binary.LittleEndian
 		for i := 0; i < n; i++ {
-			phys := int64(le.u32(i * 4))
+			phys := int64(le.Uint32(mb.Data[i*4:]))
 			if phys >= lo && phys < hi && fs.c.Peek(phys) == nil {
 				runs = append(runs, cache.Run{Start: phys, Count: 1})
 			}

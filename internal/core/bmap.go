@@ -3,15 +3,15 @@ package core
 import (
 	"fmt"
 
-	"cffs/internal/blockio"
+	"cffs/internal/bmap"
 	"cffs/internal/layout"
 	"cffs/internal/vfs"
 )
 
-// Block mapping: direct pointers plus single and double indirect blocks,
-// identical in shape to the baseline. What differs is allocation policy:
-// the first GroupBlocks blocks of a small regular file go to the naming
-// directory's group (when grouping is on); everything else uses
+// Block mapping is the shared pointer tree (internal/bmap), identical in
+// shape to the baselines'. What differs is allocation policy: the first
+// GroupBlocks blocks of a small regular file go to the naming directory's
+// group (when grouping is on); everything else uses
 // conventional clustered placement, so large-file behaviour is unchanged
 // — a property the paper is explicit about and the largefile experiment
 // checks.
@@ -89,134 +89,17 @@ func (fs *FS) allocFileBlock(in *layout.Inode, ino vfs.Ino, lb int64, prev uint3
 	return fs.allocScattered(fs.homeAG(in, ino), ino)
 }
 
-// bmap maps file block lb to a physical block, allocating on demand
-// when alloc is set; 0 means a hole.
-func (fs *FS) bmap(in *layout.Inode, ino vfs.Ino, lb int64, alloc bool) (int64, error) {
-	if lb < 0 || lb >= layout.MaxFileBlocks {
-		return 0, fmt.Errorf("cffs: block %d of inode %#x: %w", lb, uint64(ino), vfs.ErrInvalid)
-	}
-	if lb < layout.NDirect {
-		if in.Direct[lb] != 0 {
-			return int64(in.Direct[lb]), nil
-		}
-		if !alloc {
-			return 0, nil
-		}
-		var prev uint32
-		if lb > 0 {
-			prev = in.Direct[lb-1]
-		}
-		phys, err := fs.allocFileBlock(in, ino, lb, prev)
-		if err != nil {
-			return 0, err
-		}
-		in.Direct[lb] = uint32(phys)
-		in.NBlocks++
-		return phys, nil
-	}
-
-	rel := lb - layout.NDirect
-	if rel < layout.PtrsPerBlock {
-		return fs.indirBlock(&in.Indir, in, ino, lb, rel, alloc)
-	}
-
-	rel -= layout.PtrsPerBlock
-	if in.DIndir == 0 {
-		if !alloc {
-			return 0, nil
-		}
-		phys, err := fs.allocScattered(fs.homeAG(in, ino), ino)
-		if err != nil {
-			return 0, err
-		}
-		if err := fs.zeroBlock(phys); err != nil {
-			return 0, err
-		}
-		in.DIndir = uint32(phys)
-		in.NBlocks++
-	}
-	db, err := fs.c.Read(int64(in.DIndir))
-	if err != nil {
-		return 0, err
-	}
-	defer db.Release()
-	slot := int(rel / layout.PtrsPerBlock)
-	le := leBytes{db.Data}
-	ptr := le.u32(slot * 4)
-	if ptr == 0 {
-		if !alloc {
-			return 0, nil
-		}
-		phys, err := fs.allocScattered(fs.homeAG(in, ino), ino)
-		if err != nil {
-			return 0, err
-		}
-		if err := fs.zeroBlock(phys); err != nil {
-			return 0, err
-		}
-		le.pu32(slot*4, uint32(phys))
-		fs.c.MarkDirty(db)
-		in.NBlocks++
-		ptr = uint32(phys)
-	}
-	return fs.indirBlock(&ptr, in, ino, lb, rel%layout.PtrsPerBlock, alloc)
-}
-
-// indirBlock resolves one level of indirection through *ptrSlot.
-func (fs *FS) indirBlock(ptrSlot *uint32, in *layout.Inode, ino vfs.Ino, lb, idx int64, alloc bool) (int64, error) {
-	if *ptrSlot == 0 {
-		if !alloc {
-			return 0, nil
-		}
-		phys, err := fs.allocScattered(fs.homeAG(in, ino), ino)
-		if err != nil {
-			return 0, err
-		}
-		if err := fs.zeroBlock(phys); err != nil {
-			return 0, err
-		}
-		*ptrSlot = uint32(phys)
-		in.NBlocks++
-	}
-	ib, err := fs.c.Read(int64(*ptrSlot))
-	if err != nil {
-		return 0, err
-	}
-	defer ib.Release()
-	le := leBytes{ib.Data}
-	ptr := le.u32(int(idx) * 4)
-	if ptr != 0 {
-		return int64(ptr), nil
-	}
-	if !alloc {
-		return 0, nil
-	}
-	var prev uint32
-	if idx > 0 {
-		prev = le.u32(int(idx-1) * 4)
-	}
-	phys, err := fs.allocFileBlock(in, ino, lb, prev)
-	if err != nil {
-		return 0, err
-	}
-	le.pu32(int(idx)*4, uint32(phys))
-	fs.c.MarkDirty(ib)
-	in.NBlocks++
-	return phys, nil
-}
-
-// zeroBlock installs an all-zero cached block for fresh metadata.
-func (fs *FS) zeroBlock(phys int64) error {
-	b, err := fs.c.Alloc(phys)
-	if err != nil {
-		return err
-	}
-	for i := range b.Data {
-		b.Data[i] = 0
-	}
-	fs.c.MarkDirty(b)
-	b.Release()
-	return nil
+// newTree builds the mount's block-pointer tree over this allocator:
+// data blocks by allocFileBlock's grouping policy, pointer blocks
+// scattered in the file's home group like any conventional metadata.
+func (fs *FS) newTree() *bmap.Tree {
+	return bmap.New(fs.c, bmap.Alloc{
+		Data: fs.allocFileBlock,
+		Meta: func(in *layout.Inode, ino vfs.Ino) (int64, error) {
+			return fs.allocScattered(fs.homeAG(in, ino), ino)
+		},
+		Free: fs.freeBlock,
+	})
 }
 
 // truncate frees blocks at or beyond newSize and updates the inode in
@@ -241,132 +124,12 @@ func (fs *FS) truncate(in *layout.Inode, ino vfs.Ino, newSize int64) error {
 			return nil
 		}
 	}
-	oldBlocks := (in.Size + blockio.BlockSize - 1) / blockio.BlockSize
-	keep := (newSize + blockio.BlockSize - 1) / blockio.BlockSize
-
-	// One discard per physically contiguous run of freed blocks, issued
-	// before anything below can allocate. An error return drops the
-	// pending run: a discard not sent costs the device, never the data.
-	var run blockio.DiscardRun
-	for lb := keep; lb < oldBlocks; lb++ {
-		phys, err := fs.bmap(in, ino, lb, false)
-		if err != nil {
-			return err
-		}
-		if phys == 0 {
-			continue
-		}
-		if err := fs.clearMapping(in, lb); err != nil {
-			return err
-		}
-		if err := fs.freeBlock(phys, &run); err != nil {
-			return err
-		}
-		in.NBlocks--
-	}
-	if err := fs.freeEmptyIndirs(in, keep, &run); err != nil {
+	if err := fs.tree.Truncate(in, newSize); err != nil {
 		return err
 	}
-	if err := run.Flush(fs.dev); err != nil {
-		return err
-	}
-	if keep == 0 {
+	if newSize == 0 {
 		in.Group = 0
 	}
-	if newSize < in.Size && newSize%blockio.BlockSize != 0 {
-		lb := newSize / blockio.BlockSize
-		phys, err := fs.bmap(in, ino, lb, false)
-		if err != nil {
-			return err
-		}
-		if phys != 0 {
-			b, err := fs.c.Read(phys)
-			if err != nil {
-				return err
-			}
-			for i := newSize % blockio.BlockSize; i < blockio.BlockSize; i++ {
-				b.Data[i] = 0
-			}
-			fs.c.MarkDirty(b)
-			b.Release()
-		}
-	}
-	in.Size = newSize
 	in.Mtime = fs.clk.Now()
-	return nil
-}
-
-// clearMapping zeroes the pointer for file block lb at whatever level.
-func (fs *FS) clearMapping(in *layout.Inode, lb int64) error {
-	if lb < layout.NDirect {
-		in.Direct[lb] = 0
-		return nil
-	}
-	rel := lb - layout.NDirect
-	var indir uint32
-	var slot int64
-	if rel < layout.PtrsPerBlock {
-		indir, slot = in.Indir, rel
-	} else {
-		rel -= layout.PtrsPerBlock
-		if in.DIndir == 0 {
-			return nil
-		}
-		db, err := fs.c.Read(int64(in.DIndir))
-		if err != nil {
-			return err
-		}
-		indir = leBytes{db.Data}.u32(int(rel/layout.PtrsPerBlock) * 4)
-		db.Release()
-		slot = rel % layout.PtrsPerBlock
-	}
-	if indir == 0 {
-		return nil
-	}
-	ib, err := fs.c.Read(int64(indir))
-	if err != nil {
-		return err
-	}
-	leBytes{ib.Data}.pu32(int(slot)*4, 0)
-	fs.c.MarkDirty(ib)
-	ib.Release()
-	return nil
-}
-
-// freeEmptyIndirs releases indirect blocks once the kept range fits the
-// direct pointers (the unlink/truncate-to-zero case).
-func (fs *FS) freeEmptyIndirs(in *layout.Inode, keep int64, run *blockio.DiscardRun) error {
-	if keep > layout.NDirect {
-		return nil
-	}
-	if in.Indir != 0 {
-		if err := fs.freeBlock(int64(in.Indir), run); err != nil {
-			return err
-		}
-		in.Indir = 0
-		in.NBlocks--
-	}
-	if in.DIndir != 0 {
-		db, err := fs.c.Read(int64(in.DIndir))
-		if err != nil {
-			return err
-		}
-		le := leBytes{db.Data}
-		for s := 0; s < layout.PtrsPerBlock; s++ {
-			if p := le.u32(s * 4); p != 0 {
-				if err := fs.freeBlock(int64(p), run); err != nil {
-					db.Release()
-					return err
-				}
-				in.NBlocks--
-			}
-		}
-		db.Release()
-		if err := fs.freeBlock(int64(in.DIndir), run); err != nil {
-			return err
-		}
-		in.DIndir = 0
-		in.NBlocks--
-	}
 	return nil
 }

@@ -39,7 +39,7 @@ func Check(dev *blockio.Device, repair bool) (*fsck.Report, error) {
 		ClaimFixed:   ck.claimFixed,
 		GetInode:     fs.getInode,
 		PutInode:     func(ino vfs.Ino, in *layout.Inode) error { return fs.putInode(ino, in, false) },
-		ClearMapping: fs.clearMapping,
+		ClearMapping: fs.tree.ClearMapping,
 		Entries:      ck.entries, PutEntry: putEntry, AddEntry: ck.addEntry,
 		Inodes: ck.inodes, ZeroInode: ck.zeroInode,
 		GroupState: ck.groupState,

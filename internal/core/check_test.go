@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -196,10 +197,10 @@ func TestCheckDetectsStaleGroupDescriptor(t *testing.T) {
 	if err := fs.Device().ReadBlock(hdrBlock, raw); err != nil {
 		t.Fatal(err)
 	}
-	le := leBytes{raw}
+	le := binary.LittleEndian
 	k := fs.sb.groupsPerAG() - 1
-	le.pu32(agDescOff+k*8, 1)     // owner: root
-	le.pu16(agDescOff+k*8+4, 0x5) // two used bits, blocks not allocated
+	le.PutUint32(raw[agDescOff+k*8:], 1)     // owner: root
+	le.PutUint16(raw[agDescOff+k*8+4:], 0x5) // two used bits, blocks not allocated
 	if err := fs.Device().WriteBlock(hdrBlock, raw); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestCheckRepairsStructuralDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rootBlk, err := fs.bmap(&rin, RootIno, 0, false)
+	rootBlk, err := fs.tree.Resolve(&rin, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func TestCheckRepairsStructuralDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subBlk, err := fs.bmap(&sin, subIno, 0, false)
+	subBlk, err := fs.tree.Resolve(&sin, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,8 @@
 package core
 
 import (
+	"cffs/internal/bmap"
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -215,12 +217,12 @@ func (s *super) groupBase(ag int) int64 {
 func (s *super) groupsPerAG() int { return (s.AGBlocks - GroupBlocks) / GroupBlocks }
 
 func (s *super) encode(p []byte) {
-	le := leBytes{p}
-	le.pu32(0, Magic)
-	le.pu64(8, uint64(s.NBlocks))
-	le.pu32(16, uint32(s.AGBlocks))
-	le.pu32(20, uint32(s.NAG))
-	le.pu32(24, uint32(s.ExtBlocks))
+	le := binary.LittleEndian
+	le.PutUint32(p[0:], Magic)
+	le.PutUint64(p[8:], uint64(s.NBlocks))
+	le.PutUint32(p[16:], uint32(s.AGBlocks))
+	le.PutUint32(p[20:], uint32(s.NAG))
+	le.PutUint32(p[24:], uint32(s.ExtBlocks))
 	var flags uint32
 	if s.Embed {
 		flags |= 1
@@ -231,48 +233,23 @@ func (s *super) encode(p []byte) {
 	if s.Dirty {
 		flags |= 4
 	}
-	le.pu32(28, flags)
+	le.PutUint32(p[28:], flags)
 }
 
 func (s *super) decode(p []byte) error {
-	le := leBytes{p}
-	if le.u32(0) != Magic {
-		return fmt.Errorf("cffs: bad superblock magic %#x", le.u32(0))
+	le := binary.LittleEndian
+	if le.Uint32(p[0:]) != Magic {
+		return fmt.Errorf("cffs: bad superblock magic %#x", le.Uint32(p[0:]))
 	}
-	s.NBlocks = int64(le.u64(8))
-	s.AGBlocks = int(le.u32(16))
-	s.NAG = int(le.u32(20))
-	s.ExtBlocks = int(le.u32(24))
-	flags := le.u32(28)
+	s.NBlocks = int64(le.Uint64(p[8:]))
+	s.AGBlocks = int(le.Uint32(p[16:]))
+	s.NAG = int(le.Uint32(p[20:]))
+	s.ExtBlocks = int(le.Uint32(p[24:]))
+	flags := le.Uint32(p[28:])
 	s.Embed = flags&1 != 0
 	s.Grouping = flags&2 != 0
 	s.Dirty = flags&4 != 0
 	return nil
-}
-
-// leBytes is a little-endian accessor over a byte slice.
-type leBytes struct{ p []byte }
-
-func (b leBytes) pu16(off int, v uint16) {
-	b.p[off] = byte(v)
-	b.p[off+1] = byte(v >> 8)
-}
-func (b leBytes) u16(off int) uint16 {
-	return uint16(b.p[off]) | uint16(b.p[off+1])<<8
-}
-func (b leBytes) pu32(off int, v uint32) {
-	b.pu16(off, uint16(v))
-	b.pu16(off+2, uint16(v>>16))
-}
-func (b leBytes) u32(off int) uint32 {
-	return uint32(b.u16(off)) | uint32(b.u16(off+2))<<16
-}
-func (b leBytes) pu64(off int, v uint64) {
-	b.pu32(off, uint32(v))
-	b.pu32(off+4, uint32(v>>32))
-}
-func (b leBytes) u64(off int) uint64 {
-	return uint64(b.u32(off)) | uint64(b.u32(off+4))<<32
 }
 
 // FS is a mounted C-FFS. It is safe for concurrent use; see lock.go for
@@ -317,6 +294,9 @@ type FS struct {
 	// pc is the full-path lookup cache, nil when disabled; see
 	// pathcache.go for its place in the lock hierarchy.
 	pc *pathCache
+
+	// tree maps file blocks through this mount's allocator (bmap.go).
+	tree *bmap.Tree
 
 	// gr decides which misses fetch a whole group (see
 	// groupReadWanted); adaptMu guards everything in it that changes.
@@ -412,6 +392,7 @@ func Mkfs(dev *blockio.Device, opts Options) (*FS, error) {
 		},
 	}
 	fs.pc = newPathCache(opts.PathCache, opts.Metrics)
+	fs.tree = fs.newTree()
 	fs.attachMetrics(opts.Metrics, opts.Recorder)
 	// Zero the inode map.
 	for blk := int64(1); blk <= mapBlocks; blk++ {
@@ -492,6 +473,7 @@ func Mount(dev *blockio.Device, opts Options) (*FS, error) {
 	fs.opts.Grouping = fs.sb.Grouping
 	fs.wasClean = !fs.sb.Dirty
 	fs.pc = newPathCache(opts.PathCache, opts.Metrics)
+	fs.tree = fs.newTree()
 	if err := fs.scanExtInodes(); err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@ func TestConformance(t *testing.T) {
 		t.Run(cfg.Config()+"-"+cfg.Mode.String(), func(t *testing.T) {
 			fstest.Run(t, func(t *testing.T) vfs.FileSystem {
 				return newCFFS(t, cfg)
-			})
+			}, fstest.FsckWith(Check))
 		})
 	}
 }
@@ -307,7 +307,7 @@ func TestLargeFileLeavesGroups(t *testing.T) {
 		t.Fatal("first block not in a group extent")
 	}
 	for lb := int64(GroupBlocks); lb < 40; lb++ {
-		phys, err := fs.bmap(&in, ino, lb, false)
+		phys, err := fs.tree.Resolve(&in, lb)
 		if err != nil {
 			t.Fatal(err)
 		}

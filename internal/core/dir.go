@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -89,7 +90,7 @@ func readSlot(data []byte, off int, block int64, slot int) slotEntry {
 	return slotEntry{
 		name:     slotName(data, off),
 		ftype:    vfs.FileType(data[off+4]),
-		ref:      leBytes{data}.u32(off),
+		ref:      binary.LittleEndian.Uint32(data[off:]),
 		embedded: data[off+6]&flagEmbedded != 0,
 		block:    block,
 		slot:     slot,
@@ -98,7 +99,7 @@ func readSlot(data []byte, off int, block int64, slot int) slotEntry {
 
 // writeSlotHeader fills the common fields and the name.
 func writeSlotHeader(data []byte, off int, ref uint32, ftype vfs.FileType, flags byte, name string) {
-	leBytes{data}.pu32(off, ref)
+	binary.LittleEndian.PutUint32(data[off:], ref)
 	data[off+4] = byte(ftype)
 	data[off+5] = byte(len(name))
 	data[off+6] = flags
@@ -137,7 +138,7 @@ func clearInodeArea(data []byte, off int) {
 // its first block. Directory inodes are always external, so these are
 // external-reference entries.
 func (fs *FS) initDirData(in *layout.Inode, self, parent vfs.Ino) error {
-	phys, err := fs.bmap(in, self, 0, true)
+	phys, err := fs.tree.Map(in, self, 0)
 	if err != nil {
 		return err
 	}
@@ -162,7 +163,7 @@ func (fs *FS) initDirData(in *layout.Inode, self, parent vfs.Ino) error {
 func (fs *FS) forEachDirBlock(in *layout.Inode, dir vfs.Ino, fn func(b *cache.Buf) bool) (*cache.Buf, error) {
 	nblocks := in.Size / blockio.BlockSize
 	for lb := int64(0); lb < nblocks; lb++ {
-		phys, err := fs.bmap(in, dir, lb, false)
+		phys, err := fs.tree.Resolve(in, lb)
 		if err != nil {
 			return nil, err
 		}
@@ -287,7 +288,7 @@ func (fs *FS) dirFindFree(in *layout.Inode, dir vfs.Ino) (*cache.Buf, slotEntry,
 // is left holding a size update the disk never learns about.
 func (fs *FS) dirGrow(in *layout.Inode, dir vfs.Ino) (*cache.Buf, slotEntry, error) {
 	lb := in.Size / blockio.BlockSize
-	phys, err := fs.bmap(in, dir, lb, true)
+	phys, err := fs.tree.Map(in, dir, lb)
 	if err != nil {
 		return nil, slotEntry{}, err
 	}
@@ -372,25 +373,6 @@ func (fs *FS) dirPrepareCreate(in *layout.Inode, dir vfs.Ino, name string) (*cac
 		return fb, free, nil
 	}
 	return fs.dirGrow(in, dir)
-}
-
-// checkName validates an entry name. '/' can never be resolved back by
-// vfs.Walk (it splits on it) and NUL would let a name's on-disk bytes
-// diverge from what string APIs observe, so both bytes are rejected
-// outright — here, in the Ref oracle, and at the srv wire layer.
-func checkName(name string) error {
-	if len(name) == 0 || name == "." || name == ".." {
-		return vfs.ErrInvalid
-	}
-	if len(name) > vfs.MaxNameLen {
-		return fmt.Errorf("cffs: name %q: %w", name, vfs.ErrNameTooLong)
-	}
-	for i := 0; i < len(name); i++ {
-		if name[i] == '/' || name[i] == 0 {
-			return fmt.Errorf("cffs: name %q: %w", name, vfs.ErrInvalid)
-		}
-	}
-	return nil
 }
 
 // dirIsEmpty reports whether a directory holds only "." and "..".

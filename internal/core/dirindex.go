@@ -212,7 +212,7 @@ func (fs *FS) idxFindFree(in *layout.Inode, dir vfs.Ino) (b *cache.Buf, e slotEn
 	rb.Release()
 	for i := int64(0); i < nblocks; i++ {
 		lb := (startLB + i) % nblocks
-		phys, err := fs.bmap(in, dir, lb, false)
+		phys, err := fs.tree.Resolve(in, lb)
 		if err != nil {
 			return nil, slotEntry{}, false, false, err
 		}
@@ -240,7 +240,7 @@ func (fs *FS) idxFindFree(in *layout.Inode, dir vfs.Ino) (b *cache.Buf, e slotEn
 func (fs *FS) idxHintLB(in *layout.Inode, dir vfs.Ino, hint uint32, nblocks int64) (int64, bool) {
 	want := idxLocBlock(hint)
 	for lb := int64(0); lb < nblocks; lb++ {
-		phys, err := fs.bmap(in, dir, lb, false)
+		phys, err := fs.tree.Resolve(in, lb)
 		if err != nil || phys == 0 {
 			return 0, false
 		}

@@ -44,7 +44,7 @@ func writeBlocks(t *testing.T, fs *FS, dir vfs.Ino, name string, n int) []int64 
 	}
 	phys := make([]int64, n)
 	for lb := range phys {
-		if phys[lb], err = fs.bmap(&in, ino, int64(lb), false); err != nil || phys[lb] == 0 {
+		if phys[lb], err = fs.tree.Resolve(&in, int64(lb)); err != nil || phys[lb] == 0 {
 			t.Fatalf("%s block %d unmapped: %v", name, lb, err)
 		}
 	}

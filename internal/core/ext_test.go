@@ -140,7 +140,7 @@ func TestExtensionsConformance(t *testing.T) {
 	cfg := Options{EmbedInodes: true, Grouping: true, Immediate: true, Readahead: 8, Mode: ModeDelayed}
 	fstest.Run(t, func(t *testing.T) vfs.FileSystem {
 		return newCFFS(t, cfg)
-	})
+	}, fstest.FsckWith(Check))
 }
 
 func TestExtensionsOracle(t *testing.T) {

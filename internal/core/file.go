@@ -47,7 +47,7 @@ func (fs *FS) readAt(ino vfs.Ino, p []byte, off int64) (int, error) {
 		if n > len(p)-read {
 			n = len(p) - read
 		}
-		phys, err := fs.bmap(&in, ino, lb, false)
+		phys, err := fs.tree.Resolve(&in, lb)
 		if err != nil {
 			return read, err
 		}
@@ -56,7 +56,7 @@ func (fs *FS) readAt(ino vfs.Ino, p []byte, off int64) (int, error) {
 				p[read+i] = 0
 			}
 		} else {
-			b, err := fs.readFileBlock(&in, ino, lb, phys, last)
+			b, err := fs.readFileBlock(&in, lb, phys, last)
 			if err != nil {
 				return read, err
 			}
@@ -108,11 +108,11 @@ func (fs *FS) writeAt(ino vfs.Ino, p []byte, off int64) (int, error) {
 		if n > len(p)-written {
 			n = len(p) - written
 		}
-		prior, err := fs.bmap(&in, ino, lb, false)
+		prior, err := fs.tree.Resolve(&in, lb)
 		if err != nil {
 			return written, err
 		}
-		phys, err := fs.bmap(&in, ino, lb, true)
+		phys, err := fs.tree.Map(&in, ino, lb)
 		if err != nil {
 			return written, err
 		}
@@ -152,7 +152,7 @@ func (fs *FS) writeAt(ino vfs.Ino, p []byte, off int64) (int, error) {
 // demand read instead of block by block; and for a block outside any
 // group, sequential readahead — up to Options.Readahead contiguous
 // blocks of the same file in one scatter request.
-func (fs *FS) readFileBlock(in *layout.Inode, ino vfs.Ino, lb, phys, last int64) (*cache.Buf, error) {
+func (fs *FS) readFileBlock(in *layout.Inode, lb, phys, last int64) (*cache.Buf, error) {
 	if (fs.opts.Grouping || fs.opts.Readahead > 0) && fs.c.Peek(phys) == nil {
 		g, grouped := fs.groupOf(phys)
 		var err error
@@ -160,12 +160,12 @@ func (fs *FS) readFileBlock(in *layout.Inode, ino vfs.Ino, lb, phys, last int64)
 		case grouped && fs.groupReadWanted(g.id):
 			err = fs.groupRead(g)
 		case grouped:
-			if run := fs.contiguous(in, ino, lb, phys, min(last-lb+1, blockio.MaxTransferBlocks)); run > 1 {
+			if run := fs.contiguous(in, lb, phys, min(last-lb+1, blockio.MaxTransferBlocks)); run > 1 {
 				err = fs.c.ReadDemand(phys, run)
 			}
 		case fs.opts.Readahead > 0:
 			fileBlocks := (in.Size + blockio.BlockSize - 1) / blockio.BlockSize
-			if run := fs.contiguous(in, ino, lb, phys, min(int64(fs.opts.Readahead), fileBlocks-lb)); run > 1 {
+			if run := fs.contiguous(in, lb, phys, min(int64(fs.opts.Readahead), fileBlocks-lb)); run > 1 {
 				err = fs.c.ReadRun(phys, run)
 			}
 		}
@@ -178,10 +178,10 @@ func (fs *FS) readFileBlock(in *layout.Inode, ino vfs.Ino, lb, phys, last int64)
 
 // contiguous counts how many of the file's blocks from lb on, at most
 // limit, sit at consecutive physical addresses starting at phys.
-func (fs *FS) contiguous(in *layout.Inode, ino vfs.Ino, lb, phys, limit int64) int {
+func (fs *FS) contiguous(in *layout.Inode, lb, phys, limit int64) int {
 	run := int64(1)
 	for run < limit {
-		np, err := fs.bmap(in, ino, lb+run, false)
+		np, err := fs.tree.Resolve(in, lb+run)
 		if err != nil || np != phys+run {
 			break
 		}
@@ -201,7 +201,7 @@ func isInline(in *layout.Inode) bool {
 // first block, clearing the inline area. The caller holds the inode and
 // writes it back.
 func (fs *FS) spillInline(in *layout.Inode, ino vfs.Ino) error {
-	phys, err := fs.bmap(in, ino, 0, true)
+	phys, err := fs.tree.Map(in, ino, 0)
 	if err != nil {
 		return err
 	}

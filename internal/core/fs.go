@@ -38,9 +38,15 @@ func (fs *FS) dirInode(dir vfs.Ino) (layout.Inode, error) {
 	return din, nil
 }
 
+// parentDir reports what a directory's ".." names, from its inode.
+func (fs *FS) parentDir(dir vfs.Ino) (vfs.Ino, error) {
+	din, err := fs.dirInode(dir)
+	return vfs.Ino(din.Parent), err
+}
+
 // create implements Create; the FS write lock is held.
 func (fs *FS) create(dir vfs.Ino, name string) (vfs.Ino, error) {
-	if err := checkName(name); err != nil {
+	if err := vfs.CheckName(name); err != nil {
 		return 0, err
 	}
 	din, err := fs.dirInode(dir)
@@ -104,7 +110,7 @@ func (fs *FS) create(dir vfs.Ino, name string) (vfs.Ino, error) {
 // mkdir implements Mkdir; the FS write lock is held. Directory inodes are always external
 // (they are pointed to by "." and ".." and may be multiply referenced).
 func (fs *FS) mkdir(dir vfs.Ino, name string) (vfs.Ino, error) {
-	if err := checkName(name); err != nil {
+	if err := vfs.CheckName(name); err != nil {
 		return 0, err
 	}
 	din, err := fs.dirInode(dir)
@@ -129,7 +135,7 @@ func (fs *FS) mkdir(dir vfs.Ino, name string) (vfs.Ino, error) {
 	}
 	if fs.opts.Mode == ModeSync {
 		// Child block before child inode before parent entry.
-		phys, err := fs.bmap(&in, ino, 0, false)
+		phys, err := fs.tree.Resolve(&in, 0)
 		if err != nil {
 			b.Release()
 			return 0, err
@@ -208,7 +214,7 @@ func (fs *FS) externalize(old vfs.Ino) (vfs.Ino, error) {
 // embedded it is externalized and its ino changes; the retired embedded
 // ino is returned so the caller can invalidate cached paths to it.
 func (fs *FS) link(dir vfs.Ino, name string, target vfs.Ino) (retired vfs.Ino, err error) {
-	if err := checkName(name); err != nil {
+	if err := vfs.CheckName(name); err != nil {
 		return 0, err
 	}
 	din, err := fs.dirInode(dir)
@@ -412,7 +418,7 @@ func (fs *FS) rename(sdir vfs.Ino, sname string, ddir vfs.Ino, dname string) (mo
 	if sname == "." || sname == ".." {
 		return 0, 0, vfs.ErrInvalid
 	}
-	if err := checkName(dname); err != nil {
+	if err := vfs.CheckName(dname); err != nil {
 		return 0, 0, err
 	}
 	sin, err := fs.dirInode(sdir)
@@ -432,6 +438,11 @@ func (fs *FS) rename(sdir vfs.Ino, sname string, ddir vfs.Ino, dname string) (mo
 	din, err := fs.dirInode(ddir)
 	if err != nil {
 		return 0, 0, err
+	}
+	if se.ftype == vfs.TypeDir && sdir != ddir {
+		if err := vfs.CheckNotBelow(moved, ddir, RootIno, fs.parentDir); err != nil {
+			return 0, 0, err
+		}
 	}
 	if b, de, err := fs.dirLookup(&din, ddir, dname); err == nil {
 		b.Release()
@@ -551,14 +562,7 @@ func (fs *FS) stat(ino vfs.Ino) (vfs.Stat, error) {
 	if err != nil {
 		return vfs.Stat{}, err
 	}
-	return vfs.Stat{
-		Ino:    ino,
-		Type:   in.Type,
-		Nlink:  uint32(in.Nlink),
-		Size:   in.Size,
-		Blocks: int64(in.NBlocks),
-		Mtime:  in.Mtime,
-	}, nil
+	return in.Stat(ino), nil
 }
 
 // truncateTo implements Truncate; the FS write lock is held.

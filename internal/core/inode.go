@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"cffs/internal/blockio"
@@ -53,7 +54,7 @@ func (fs *FS) extLoc(idx int) (int64, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	phys := leBytes{mb.Data}.u32((fileBlk % layout.PtrsPerBlock) * 4)
+	phys := binary.LittleEndian.Uint32(mb.Data[(fileBlk%layout.PtrsPerBlock)*4:])
 	mb.Release()
 	if phys == 0 {
 		return 0, 0, fmt.Errorf("cffs: inode-file block %d unmapped: %w", fileBlk, vfs.ErrNotExist)
@@ -113,7 +114,7 @@ func (fs *FS) allocExtInode(prefAG int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	leBytes{mb.Data}.pu32((fileBlk%layout.PtrsPerBlock)*4, uint32(phys))
+	binary.LittleEndian.PutUint32(mb.Data[(fileBlk%layout.PtrsPerBlock)*4:], uint32(phys))
 	if err := fs.syncMeta(mb); err != nil {
 		mb.Release()
 		return 0, err

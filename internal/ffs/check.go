@@ -28,7 +28,7 @@ func Check(dev *blockio.Device, repair bool) (*fsck.Report, error) {
 		ClaimFixed:   ck.claimFixed,
 		GetInode:     fs.getInode,
 		PutInode:     func(ino vfs.Ino, in *layout.Inode) error { return fs.putInode(ino, in, false) },
-		ClearMapping: fs.clearMapping,
+		ClearMapping: fs.tree.ClearMapping,
 		Entries:      ck.entries, PutEntry: putEntry, AddEntry: ck.addEntry,
 		Inodes:     ck.inodes,
 		ZeroInode:  func(ino vfs.Ino) error { return fs.putInode(ino, &layout.Inode{}, false) },
@@ -53,10 +53,10 @@ func (ck checker) claimFixed(w *fsck.Walk) error {
 }
 
 func (ck checker) entries(in *layout.Inode, dir vfs.Ino, fn func(fsck.Entry)) error {
-	_, err := ck.fs.forEachDirent(in, dir, func(b *cache.Buf, e dirent) bool {
-		if e.ino != 0 {
-			fn(fsck.Entry{Name: e.name, Ino: vfs.Ino(e.ino), Type: e.ftype,
-				Loc: fsck.Loc{Block: b.Block, Off: e.off, Len: e.reclen}})
+	_, err := ck.fs.forEachDirent(in, dir, func(b *cache.Buf, e layout.Dirent) bool {
+		if e.Ino != 0 {
+			fn(fsck.Entry{Name: e.Name, Ino: vfs.Ino(e.Ino), Type: e.Type,
+				Loc: fsck.Loc{Block: b.Block, Off: e.Off, Len: e.Reclen}})
 		}
 		return false
 	})
@@ -71,7 +71,7 @@ func putEntry(block []byte, l fsck.Loc, name string, target vfs.Ino) {
 	if target == 0 {
 		ft = vfs.TypeInvalid
 	}
-	encodeDirent(block, l.Off, uint32(target), l.Len, ft, name)
+	layout.EncodeDirent(block, l.Off, uint32(target), l.Len, ft, name)
 }
 
 func (ck checker) addEntry(in *layout.Inode, dir vfs.Ino, name string, target vfs.Ino) error {

@@ -9,76 +9,15 @@ import (
 	"cffs/internal/vfs"
 )
 
-// Directory format: classic FFS variable-length entries packed into
-// directory blocks. Each record is
-//
-//	ino(4) reclen(2) namelen(1) ftype(1) name... (padded to 4)
-//
-// and records tile the whole block: free space is carried as slack in
-// the previous record's reclen (or as a record with ino 0 at the block
-// head). Entries never span blocks.
-
-const direntHdr = 8
-
-func direntSize(namelen int) int { return (direntHdr + namelen + 3) &^ 3 }
-
-// dirent is a decoded directory record.
-type dirent struct {
-	ino    uint32
-	reclen int
-	ftype  vfs.FileType
-	name   string
-	off    int // byte offset within the block
-}
-
-// used returns the space the live entry occupies (excluding slack).
-func (e *dirent) used() int { return direntSize(len(e.name)) }
-
-// decodeDirent reads the record at off.
-func decodeDirent(p []byte, off int) (dirent, error) {
-	if off+direntHdr > len(p) {
-		return dirent{}, fmt.Errorf("ffs: dirent header at %d overruns block", off)
-	}
-	le := leBytes{p}
-	e := dirent{
-		ino:    le.u32(off),
-		reclen: int(uint16(le.u32(off+4)) & 0xffff),
-		ftype:  vfs.FileType(p[off+7]),
-		off:    off,
-	}
-	nl := int(p[off+6])
-	if e.reclen < direntSize(nl) || off+e.reclen > len(p) || e.reclen%4 != 0 {
-		return dirent{}, fmt.Errorf("ffs: corrupt dirent at %d (reclen %d, namelen %d)", off, e.reclen, nl)
-	}
-	e.name = string(p[off+direntHdr : off+direntHdr+nl])
-	return e, nil
-}
-
-// encodeDirent writes a record at off.
-func encodeDirent(p []byte, off int, ino uint32, reclen int, ftype vfs.FileType, name string) {
-	le := leBytes{p}
-	le.pu32(off, ino)
-	p[off+4] = byte(reclen)
-	p[off+5] = byte(reclen >> 8)
-	p[off+6] = byte(len(name))
-	p[off+7] = byte(ftype)
-	copy(p[off+direntHdr:], name)
-	// Zero name padding for deterministic images.
-	for i := off + direntHdr + len(name); i < off+direntSize(len(name)) && i < len(p); i++ {
-		p[i] = 0
-	}
-}
-
-// initDirBlock formats an empty directory block: one free record
-// covering everything.
-func initDirBlock(p []byte) {
-	encodeDirent(p, 0, 0, blockio.BlockSize, vfs.TypeInvalid, "")
-}
+// Directories are the classic variable-length records of
+// layout/dirent.go. What is ffs's own is the I/O discipline around
+// them: scans hand back the block pinned, so a mutation and the ordered
+// write that publishes it act on the buffer the scan found.
 
 // initDirData writes the initial "." and ".." entries of a new
 // directory into its first data block.
 func (fs *FS) initDirData(in *layout.Inode, self, parent vfs.Ino) error {
-	phys, err := fs.bmap(in, self, 0, true)
+	phys, err := fs.tree.Map(in, self, 0)
 	if err != nil {
 		return err
 	}
@@ -87,10 +26,7 @@ func (fs *FS) initDirData(in *layout.Inode, self, parent vfs.Ino) error {
 		return err
 	}
 	defer b.Release()
-	initDirBlock(b.Data)
-	dot := direntSize(1)
-	encodeDirent(b.Data, 0, uint32(self), dot, vfs.TypeDir, ".")
-	encodeDirent(b.Data, dot, uint32(parent), blockio.BlockSize-dot, vfs.TypeDir, "..")
+	layout.InitDirDots(b.Data, self, parent)
 	fs.c.MarkDirty(b)
 	in.Size = blockio.BlockSize
 	return nil
@@ -99,10 +35,10 @@ func (fs *FS) initDirData(in *layout.Inode, self, parent vfs.Ino) error {
 // forEachDirent walks every record (live and free) of a directory,
 // calling fn with the block buffer and decoded entry. fn returning true
 // stops the walk with the buffer pinned and returned to the caller.
-func (fs *FS) forEachDirent(in *layout.Inode, dir vfs.Ino, fn func(b *cache.Buf, e dirent) bool) (*cache.Buf, error) {
+func (fs *FS) forEachDirent(in *layout.Inode, dir vfs.Ino, fn func(b *cache.Buf, e layout.Dirent) bool) (*cache.Buf, error) {
 	nblocks := in.Size / blockio.BlockSize
 	for lb := int64(0); lb < nblocks; lb++ {
-		phys, err := fs.bmap(in, dir, lb, false)
+		phys, err := fs.tree.Resolve(in, lb)
 		if err != nil {
 			return nil, err
 		}
@@ -113,57 +49,35 @@ func (fs *FS) forEachDirent(in *layout.Inode, dir vfs.Ino, fn func(b *cache.Buf,
 		if err != nil {
 			return nil, err
 		}
-		for off := 0; off < blockio.BlockSize; {
-			e, err := decodeDirent(b.Data, off)
-			if err != nil {
-				b.Release()
-				return nil, err
-			}
-			if fn(b, e) {
-				return b, nil
-			}
-			off += e.reclen
+		stopped, err := layout.EachDirent(b.Data, func(e layout.Dirent) bool { return fn(b, e) })
+		if stopped {
+			return b, nil
 		}
 		b.Release()
+		if err != nil {
+			return nil, err
+		}
 	}
 	return nil, nil
 }
 
 // dirLookup finds a live entry by name; the returned buffer is pinned.
-func (fs *FS) dirLookup(in *layout.Inode, dir vfs.Ino, name string) (*cache.Buf, dirent, error) {
-	var found dirent
-	b, err := fs.forEachDirent(in, dir, func(_ *cache.Buf, e dirent) bool {
-		if e.ino != 0 && e.name == name {
+func (fs *FS) dirLookup(in *layout.Inode, dir vfs.Ino, name string) (*cache.Buf, layout.Dirent, error) {
+	var found layout.Dirent
+	b, err := fs.forEachDirent(in, dir, func(_ *cache.Buf, e layout.Dirent) bool {
+		if e.Ino != 0 && e.Name == name {
 			found = e
 			return true
 		}
 		return false
 	})
 	if err != nil {
-		return nil, dirent{}, err
+		return nil, layout.Dirent{}, err
 	}
 	if b == nil {
-		return nil, dirent{}, fmt.Errorf("ffs: %q in dir %d: %w", name, dir, vfs.ErrNotExist)
+		return nil, layout.Dirent{}, fmt.Errorf("ffs: %q in dir %d: %w", name, dir, vfs.ErrNotExist)
 	}
 	return b, found, nil
-}
-
-// checkName validates an entry name (the same lattice as cffs: empty
-// and dot names are invalid, then length, then byte content — "/" and
-// NUL can never appear in a directory entry).
-func checkName(name string) error {
-	if len(name) == 0 || name == "." || name == ".." {
-		return vfs.ErrInvalid
-	}
-	if len(name) > vfs.MaxNameLen {
-		return fmt.Errorf("ffs: name %q: %w", name, vfs.ErrNameTooLong)
-	}
-	for i := 0; i < len(name); i++ {
-		if name[i] == '/' || name[i] == 0 {
-			return fmt.Errorf("ffs: name %q: %w", name, vfs.ErrInvalid)
-		}
-	}
-	return nil
 }
 
 // dirGrow appends one fresh directory block. Under synchronous metadata
@@ -171,7 +85,7 @@ func checkName(name string) error {
 // an entry lands in the block, or a crash orphans the entry.
 func (fs *FS) dirGrow(in *layout.Inode, dir vfs.Ino) (*cache.Buf, error) {
 	lb := in.Size / blockio.BlockSize
-	phys, err := fs.bmap(in, dir, lb, true)
+	phys, err := fs.tree.Map(in, dir, lb)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +93,7 @@ func (fs *FS) dirGrow(in *layout.Inode, dir vfs.Ino) (*cache.Buf, error) {
 	if err != nil {
 		return nil, err
 	}
-	initDirBlock(b.Data)
+	layout.InitDirBlock(b.Data)
 	in.Size += blockio.BlockSize
 	in.Mtime = fs.clk.Now()
 	if fs.opts.Mode == ModeSync {
@@ -197,71 +111,45 @@ func (fs *FS) dirGrow(in *layout.Inode, dir vfs.Ino) (*cache.Buf, error) {
 	return b, nil
 }
 
-// dirInsert writes a live entry into the free space at slotOff/slotLen
-// of a pinned directory block.
-func (fs *FS) dirInsert(b *cache.Buf, slotOff, slotLen int, ino vfs.Ino, ftype vfs.FileType, name string) error {
-	e, err := decodeDirent(b.Data, slotOff)
-	if err != nil {
-		return err
-	}
-	if e.ino == 0 {
-		encodeDirent(b.Data, slotOff, uint32(ino), slotLen, ftype, name)
-	} else {
-		// Split the slack off the live entry.
-		usedLen := e.used()
-		encodeDirent(b.Data, slotOff, e.ino, usedLen, e.ftype, e.name)
-		encodeDirent(b.Data, slotOff+usedLen, uint32(ino), slotLen-usedLen, ftype, name)
-	}
-	return nil
-}
-
 // dirPrepareAdd runs the existence check and the free-slot search as a
 // single scan, so a create pays one directory traversal instead of two.
 // When name is already present the returned buffer is pinned at its
 // block and existing describes the entry; otherwise the buffer is
-// pinned at a block with room (grown if need be) and slotOff/slotLen
-// locate the space for dirInsert.
-func (fs *FS) dirPrepareAdd(in *layout.Inode, dir vfs.Ino, name string) (b *cache.Buf, slotOff, slotLen int, existing *dirent, err error) {
-	need := direntSize(len(name))
+// pinned at a block with room (grown if need be) and slot is the offset
+// of the record layout.InsertDirent will take or split.
+func (fs *FS) dirPrepareAdd(in *layout.Inode, dir vfs.Ino, name string) (b *cache.Buf, slot int, existing *layout.Dirent, err error) {
+	need := layout.DirentSize(len(name))
 	var freeBlock int64
-	var freeOff, freeLen int
 	haveFree := false
-	var found dirent
-	b, err = fs.forEachDirent(in, dir, func(fb *cache.Buf, e dirent) bool {
-		if e.ino != 0 && e.name == name {
+	var found layout.Dirent
+	b, err = fs.forEachDirent(in, dir, func(fb *cache.Buf, e layout.Dirent) bool {
+		if e.Ino != 0 && e.Name == name {
 			found = e
 			return true
 		}
-		if !haveFree {
-			switch {
-			case e.ino == 0 && e.reclen >= need:
-				freeBlock, freeOff, freeLen = fb.Block, e.off, e.reclen
-				haveFree = true
-			case e.ino != 0 && e.reclen-e.used() >= need:
-				freeBlock, freeOff, freeLen = fb.Block, e.off, e.reclen
-				haveFree = true
-			}
+		if !haveFree && e.Fits(need) {
+			freeBlock, slot, haveFree = fb.Block, e.Off, true
 		}
 		return false
 	})
 	if err != nil {
-		return nil, 0, 0, nil, err
+		return nil, 0, nil, err
 	}
 	if b != nil {
-		return b, 0, 0, &found, nil
+		return b, 0, &found, nil
 	}
 	if haveFree {
 		// The block was scanned moments ago; this re-read is a cache hit.
 		fb, err := fs.c.Read(freeBlock)
 		if err != nil {
-			return nil, 0, 0, nil, err
+			return nil, 0, nil, err
 		}
-		return fb, freeOff, freeLen, nil, nil
+		return fb, slot, nil, nil
 	}
 	if b, err = fs.dirGrow(in, dir); err != nil {
-		return nil, 0, 0, nil, err
+		return nil, 0, nil, err
 	}
-	return b, 0, blockio.BlockSize, nil, nil
+	return b, 0, nil, nil
 }
 
 // dirAdd inserts a live entry, growing the directory by one block when
@@ -270,21 +158,11 @@ func (fs *FS) dirPrepareAdd(in *layout.Inode, dir vfs.Ino, name string) (b *cach
 // supplies the parent inode and writes it back. The modified block is
 // returned pinned for the caller to order its write (sync or delayed).
 func (fs *FS) dirAdd(in *layout.Inode, dir vfs.Ino, name string, ino vfs.Ino, ftype vfs.FileType) (*cache.Buf, error) {
-	if len(name) == 0 || len(name) > vfs.MaxNameLen {
-		return nil, fmt.Errorf("ffs: name %q: %w", name, vfs.ErrNameTooLong)
-	}
-	need := direntSize(len(name))
-	var slotOff, slotLen int
-	b, err := fs.forEachDirent(in, dir, func(_ *cache.Buf, e dirent) bool {
-		if e.ino == 0 && e.reclen >= need {
-			slotOff, slotLen = e.off, e.reclen
-			return true
-		}
-		if e.ino != 0 && e.reclen-e.used() >= need {
-			slotOff, slotLen = e.off, e.reclen
-			return true
-		}
-		return false
+	need := layout.DirentSize(len(name))
+	slot := 0
+	b, err := fs.forEachDirent(in, dir, func(_ *cache.Buf, e layout.Dirent) bool {
+		slot = e.Off
+		return e.Fits(need)
 	})
 	if err != nil {
 		return nil, err
@@ -293,9 +171,9 @@ func (fs *FS) dirAdd(in *layout.Inode, dir vfs.Ino, name string, ino vfs.Ino, ft
 		if b, err = fs.dirGrow(in, dir); err != nil {
 			return nil, err
 		}
-		slotOff, slotLen = 0, blockio.BlockSize
+		slot = 0
 	}
-	if err := fs.dirInsert(b, slotOff, slotLen, ino, ftype, name); err != nil {
+	if err := layout.InsertDirent(b.Data, slot, ino, ftype, name); err != nil {
 		b.Release()
 		return nil, err
 	}
@@ -303,58 +181,38 @@ func (fs *FS) dirAdd(in *layout.Inode, dir vfs.Ino, name string, ino vfs.Ino, ft
 	return b, nil
 }
 
-// dirRemove deletes a live entry by name, merging its space into the
-// preceding record (or marking it free at block head). The modified
-// block is returned pinned.
-func (fs *FS) dirRemove(in *layout.Inode, dir vfs.Ino, name string) (*cache.Buf, dirent, error) {
-	var prev, target dirent
-	var havePrev bool
-	b, err := fs.forEachDirent(in, dir, func(_ *cache.Buf, e dirent) bool {
-		if e.ino != 0 && e.name == name {
-			target = e
-			return true
-		}
-		prev, havePrev = e, true
-		return false
-	})
+// dirRemove deletes a live entry by name. The modified block is
+// returned pinned.
+func (fs *FS) dirRemove(in *layout.Inode, dir vfs.Ino, name string) (*cache.Buf, error) {
+	b, target, err := fs.dirLookup(in, dir, name)
 	if err != nil {
-		return nil, dirent{}, err
+		return nil, err
 	}
-	if b == nil {
-		return nil, dirent{}, fmt.Errorf("ffs: %q in dir %d: %w", name, dir, vfs.ErrNotExist)
-	}
-	if target.off > 0 && havePrev && prev.off+prev.reclen == target.off {
-		// Merge into predecessor.
-		encodeDirent(b.Data, prev.off, prev.ino, prev.reclen+target.reclen, prev.ftype, prev.name)
-	} else {
-		encodeDirent(b.Data, target.off, 0, target.reclen, vfs.TypeInvalid, "")
+	if err := layout.RemoveDirent(b.Data, target.Off); err != nil {
+		b.Release()
+		return nil, err
 	}
 	in.Mtime = fs.clk.Now()
-	return b, target, nil
+	return b, nil
 }
 
 // dirIsEmpty reports whether the directory holds only "." and "..".
 func (fs *FS) dirIsEmpty(in *layout.Inode, dir vfs.Ino) (bool, error) {
-	empty := true
-	b, err := fs.forEachDirent(in, dir, func(_ *cache.Buf, e dirent) bool {
-		if e.ino != 0 && e.name != "." && e.name != ".." {
-			empty = false
-			return true
-		}
-		return false
+	b, err := fs.forEachDirent(in, dir, func(_ *cache.Buf, e layout.Dirent) bool {
+		return e.Ino != 0 && e.Name != "." && e.Name != ".."
 	})
 	if b != nil {
 		b.Release()
 	}
-	return empty, err
+	return b == nil, err
 }
 
 // dirList collects the live entries, excluding "." and "..".
 func (fs *FS) dirList(in *layout.Inode, dir vfs.Ino) ([]vfs.DirEntry, error) {
 	var ents []vfs.DirEntry
-	_, err := fs.forEachDirent(in, dir, func(_ *cache.Buf, e dirent) bool {
-		if e.ino != 0 && e.name != "." && e.name != ".." {
-			ents = append(ents, vfs.DirEntry{Name: e.name, Ino: vfs.Ino(e.ino), Type: e.ftype})
+	_, err := fs.forEachDirent(in, dir, func(_ *cache.Buf, e layout.Dirent) bool {
+		if e.Ino != 0 && e.Name != "." && e.Name != ".." {
+			ents = append(ents, vfs.DirEntry{Name: e.Name, Ino: vfs.Ino(e.Ino), Type: e.Type})
 		}
 		return false
 	})

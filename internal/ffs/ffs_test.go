@@ -29,13 +29,13 @@ func newFFS(t *testing.T, opts Options) *FS {
 func TestConformanceSync(t *testing.T) {
 	fstest.Run(t, func(t *testing.T) vfs.FileSystem {
 		return newFFS(t, Options{Mode: ModeSync})
-	})
+	}, fstest.FsckWith(Check))
 }
 
 func TestConformanceDelayed(t *testing.T) {
 	fstest.Run(t, func(t *testing.T) vfs.FileSystem {
 		return newFFS(t, Options{Mode: ModeDelayed})
-	})
+	}, fstest.FsckWith(Check))
 }
 
 func TestMountExisting(t *testing.T) {

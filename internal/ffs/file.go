@@ -38,7 +38,7 @@ func (fs *FS) ReadAt(ino vfs.Ino, p []byte, off int64) (int, error) {
 		if n > len(p)-read {
 			n = len(p) - read
 		}
-		phys, err := fs.bmap(&in, ino, lb, false)
+		phys, err := fs.tree.Resolve(&in, lb)
 		if err != nil {
 			return read, err
 		}
@@ -84,11 +84,11 @@ func (fs *FS) WriteAt(ino vfs.Ino, p []byte, off int64) (int, error) {
 		if n > len(p)-written {
 			n = len(p) - written
 		}
-		prior, err := fs.bmap(&in, ino, lb, false)
+		prior, err := fs.tree.Resolve(&in, lb)
 		if err != nil {
 			return written, err
 		}
-		phys, err := fs.bmap(&in, ino, lb, true)
+		phys, err := fs.tree.Map(&in, ino, lb)
 		if err != nil {
 			return written, err
 		}

@@ -17,38 +17,55 @@ import (
 // Lookup implements vfs.FileSystem.
 func (fs *FS) Lookup(dir vfs.Ino, name string) (vfs.Ino, error) {
 	defer fs.trk.Begin(obs.OpLookup).End()
-	din, err := fs.getLiveInode(dir)
+	din, err := fs.dirInode(dir)
 	if err != nil {
 		return 0, err
-	}
-	if din.Type != vfs.TypeDir {
-		return 0, fmt.Errorf("ffs: inode %d: %w", dir, vfs.ErrNotDir)
 	}
 	b, e, err := fs.dirLookup(&din, dir, name)
 	if err != nil {
 		return 0, err
 	}
 	b.Release()
-	return vfs.Ino(e.ino), nil
+	return vfs.Ino(e.Ino), nil
+}
+
+// dirInode fetches an inode and checks it is a directory.
+func (fs *FS) dirInode(dir vfs.Ino) (layout.Inode, error) {
+	din, err := fs.getLiveInode(dir)
+	if err == nil && din.Type != vfs.TypeDir {
+		err = fmt.Errorf("ffs: inode %d: %w", dir, vfs.ErrNotDir)
+	}
+	return din, err
+}
+
+// parentDir reports what a directory's ".." entry names.
+func (fs *FS) parentDir(dir vfs.Ino) (vfs.Ino, error) {
+	din, err := fs.dirInode(dir)
+	if err != nil {
+		return 0, err
+	}
+	b, e, err := fs.dirLookup(&din, dir, "..")
+	if err != nil {
+		return 0, err
+	}
+	b.Release()
+	return vfs.Ino(e.Ino), nil
 }
 
 // Create implements vfs.FileSystem.
 func (fs *FS) Create(dir vfs.Ino, name string) (vfs.Ino, error) {
 	defer fs.trk.Begin(obs.OpCreate).End()
 	fs.wb.Admit()
-	if err := checkName(name); err != nil {
+	if err := vfs.CheckName(name); err != nil {
 		return 0, err
 	}
-	din, err := fs.getLiveInode(dir)
+	din, err := fs.dirInode(dir)
 	if err != nil {
 		return 0, err
 	}
-	if din.Type != vfs.TypeDir {
-		return 0, vfs.ErrNotDir
-	}
 	// One scan: existence check and free-slot search together. The
 	// buffer stays pinned (slots cannot move) across the inode writes.
-	b, slotOff, slotLen, existing, err := fs.dirPrepareAdd(&din, dir, name)
+	b, slot, existing, err := fs.dirPrepareAdd(&din, dir, name)
 	if err != nil {
 		return 0, err
 	}
@@ -68,7 +85,7 @@ func (fs *FS) Create(dir vfs.Ino, name string) (vfs.Ino, error) {
 		b.Release()
 		return 0, err
 	}
-	if err := fs.dirInsert(b, slotOff, slotLen, ino, vfs.TypeReg, name); err != nil {
+	if err := layout.InsertDirent(b.Data, slot, ino, vfs.TypeReg, name); err != nil {
 		b.Release()
 		return 0, err
 	}
@@ -86,17 +103,14 @@ func (fs *FS) Create(dir vfs.Ino, name string) (vfs.Ino, error) {
 func (fs *FS) Mkdir(dir vfs.Ino, name string) (vfs.Ino, error) {
 	defer fs.trk.Begin(obs.OpMkdir).End()
 	fs.wb.Admit()
-	if err := checkName(name); err != nil {
+	if err := vfs.CheckName(name); err != nil {
 		return 0, err
 	}
-	din, err := fs.getLiveInode(dir)
+	din, err := fs.dirInode(dir)
 	if err != nil {
 		return 0, err
 	}
-	if din.Type != vfs.TypeDir {
-		return 0, vfs.ErrNotDir
-	}
-	b, slotOff, slotLen, existing, err := fs.dirPrepareAdd(&din, dir, name)
+	b, slot, existing, err := fs.dirPrepareAdd(&din, dir, name)
 	if err != nil {
 		return 0, err
 	}
@@ -117,7 +131,7 @@ func (fs *FS) Mkdir(dir vfs.Ino, name string) (vfs.Ino, error) {
 	// Child block, then child inode, then parent entry — the mkdir
 	// ordering chain.
 	if fs.opts.Mode == ModeSync {
-		phys, err := fs.bmap(&in, ino, 0, false)
+		phys, err := fs.tree.Resolve(&in, 0)
 		if err != nil {
 			b.Release()
 			return 0, err
@@ -138,7 +152,7 @@ func (fs *FS) Mkdir(dir vfs.Ino, name string) (vfs.Ino, error) {
 		b.Release()
 		return 0, err
 	}
-	if err := fs.dirInsert(b, slotOff, slotLen, ino, vfs.TypeDir, name); err != nil {
+	if err := layout.InsertDirent(b.Data, slot, ino, vfs.TypeDir, name); err != nil {
 		b.Release()
 		return 0, err
 	}
@@ -156,15 +170,12 @@ func (fs *FS) Mkdir(dir vfs.Ino, name string) (vfs.Ino, error) {
 func (fs *FS) Link(dir vfs.Ino, name string, target vfs.Ino) error {
 	defer fs.trk.Begin(obs.OpLink).End()
 	fs.wb.Admit()
-	if err := checkName(name); err != nil {
+	if err := vfs.CheckName(name); err != nil {
 		return err
 	}
-	din, err := fs.getLiveInode(dir)
+	din, err := fs.dirInode(dir)
 	if err != nil {
 		return err
-	}
-	if din.Type != vfs.TypeDir {
-		return vfs.ErrNotDir
 	}
 	tin, err := fs.getLiveInode(target)
 	if err != nil {
@@ -173,7 +184,7 @@ func (fs *FS) Link(dir vfs.Ino, name string, target vfs.Ino) error {
 	if tin.Type == vfs.TypeDir {
 		return vfs.ErrIsDir
 	}
-	b, slotOff, slotLen, existing, err := fs.dirPrepareAdd(&din, dir, name)
+	b, slot, existing, err := fs.dirPrepareAdd(&din, dir, name)
 	if err != nil {
 		return err
 	}
@@ -187,7 +198,7 @@ func (fs *FS) Link(dir vfs.Ino, name string, target vfs.Ino) error {
 		b.Release()
 		return err
 	}
-	if err := fs.dirInsert(b, slotOff, slotLen, target, vfs.TypeReg, name); err != nil {
+	if err := layout.InsertDirent(b.Data, slot, target, vfs.TypeReg, name); err != nil {
 		b.Release()
 		return err
 	}
@@ -204,26 +215,23 @@ func (fs *FS) Link(dir vfs.Ino, name string, target vfs.Ino) error {
 func (fs *FS) Unlink(dir vfs.Ino, name string) error {
 	defer fs.trk.Begin(obs.OpUnlink).End()
 	fs.wb.Admit()
-	din, err := fs.getLiveInode(dir)
-	if err != nil {
-		return err
-	}
-	if din.Type != vfs.TypeDir {
-		return vfs.ErrNotDir
-	}
 	if name == "." || name == ".." {
 		return vfs.ErrInvalid
+	}
+	din, err := fs.dirInode(dir)
+	if err != nil {
+		return err
 	}
 	b, e, err := fs.dirLookup(&din, dir, name)
 	if err != nil {
 		return err
 	}
-	if e.ftype == vfs.TypeDir {
+	if e.Type == vfs.TypeDir {
 		b.Release()
 		return vfs.ErrIsDir
 	}
 	b.Release()
-	b, _, err = fs.dirRemove(&din, dir, name)
+	b, err = fs.dirRemove(&din, dir, name)
 	if err != nil {
 		return err
 	}
@@ -237,7 +245,7 @@ func (fs *FS) Unlink(dir vfs.Ino, name string) error {
 		return err
 	}
 
-	ino := vfs.Ino(e.ino)
+	ino := vfs.Ino(e.Ino)
 	tin, err := fs.getLiveInode(ino)
 	if err != nil {
 		return err
@@ -246,7 +254,7 @@ func (fs *FS) Unlink(dir vfs.Ino, name string) error {
 	if tin.Nlink > 0 {
 		return fs.putInode(ino, &tin, true)
 	}
-	if err := fs.truncate(&tin, ino, 0); err != nil {
+	if err := fs.tree.Truncate(&tin, 0); err != nil {
 		return err
 	}
 	// Ordering point 2: the cleared inode.
@@ -261,25 +269,22 @@ func (fs *FS) Unlink(dir vfs.Ino, name string) error {
 func (fs *FS) Rmdir(dir vfs.Ino, name string) error {
 	defer fs.trk.Begin(obs.OpRmdir).End()
 	fs.wb.Admit()
-	din, err := fs.getLiveInode(dir)
-	if err != nil {
-		return err
-	}
-	if din.Type != vfs.TypeDir {
-		return vfs.ErrNotDir
-	}
 	if name == "." || name == ".." {
 		return vfs.ErrInvalid
+	}
+	din, err := fs.dirInode(dir)
+	if err != nil {
+		return err
 	}
 	b, e, err := fs.dirLookup(&din, dir, name)
 	if err != nil {
 		return err
 	}
 	b.Release()
-	if e.ftype != vfs.TypeDir {
+	if e.Type != vfs.TypeDir {
 		return vfs.ErrNotDir
 	}
-	ino := vfs.Ino(e.ino)
+	ino := vfs.Ino(e.Ino)
 	cin, err := fs.getLiveInode(ino)
 	if err != nil {
 		return err
@@ -291,7 +296,7 @@ func (fs *FS) Rmdir(dir vfs.Ino, name string) error {
 	if !empty {
 		return vfs.ErrNotEmpty
 	}
-	b, _, err = fs.dirRemove(&din, dir, name)
+	b, err = fs.dirRemove(&din, dir, name)
 	if err != nil {
 		return err
 	}
@@ -304,7 +309,7 @@ func (fs *FS) Rmdir(dir vfs.Ino, name string) error {
 	if err := fs.putInode(dir, &din, false); err != nil {
 		return err
 	}
-	if err := fs.truncate(&cin, ino, 0); err != nil {
+	if err := fs.tree.Truncate(&cin, 0); err != nil {
 		return err
 	}
 	cin = layout.Inode{}
@@ -321,10 +326,10 @@ func (fs *FS) Rename(sdir vfs.Ino, sname string, ddir vfs.Ino, dname string) err
 	if sname == "." || sname == ".." {
 		return vfs.ErrInvalid
 	}
-	if err := checkName(dname); err != nil {
+	if err := vfs.CheckName(dname); err != nil {
 		return err
 	}
-	sin, err := fs.getLiveInode(sdir)
+	sin, err := fs.dirInode(sdir)
 	if err != nil {
 		return err
 	}
@@ -336,19 +341,24 @@ func (fs *FS) Rename(sdir vfs.Ino, sname string, ddir vfs.Ino, dname string) err
 	if sdir == ddir && sname == dname {
 		return nil // self-rename is a no-op
 	}
-	din, err := fs.getLiveInode(ddir)
+	din, err := fs.dirInode(ddir)
 	if err != nil {
 		return err
 	}
+	if se.Type == vfs.TypeDir && sdir != ddir {
+		if err := vfs.CheckNotBelow(vfs.Ino(se.Ino), ddir, RootIno, fs.parentDir); err != nil {
+			return err
+		}
+	}
 	// One scan resolves the destination: either the name exists (handled
 	// below) or the scan already found the free slot for the new entry.
-	nb, slotOff, slotLen, existing, err := fs.dirPrepareAdd(&din, ddir, dname)
+	nb, slot, existing, err := fs.dirPrepareAdd(&din, ddir, dname)
 	if err != nil {
 		return err
 	}
 	if existing != nil {
 		nb.Release()
-		if existing.ftype == vfs.TypeDir {
+		if existing.Type == vfs.TypeDir {
 			return vfs.ErrIsDir
 		}
 		if err := fs.Unlink(ddir, dname); err != nil {
@@ -358,7 +368,7 @@ func (fs *FS) Rename(sdir vfs.Ino, sname string, ddir vfs.Ino, dname string) err
 		if err != nil {
 			return err
 		}
-		if nb, slotOff, slotLen, existing, err = fs.dirPrepareAdd(&din, ddir, dname); err != nil {
+		if nb, slot, existing, err = fs.dirPrepareAdd(&din, ddir, dname); err != nil {
 			return err
 		}
 		if existing != nil {
@@ -368,7 +378,7 @@ func (fs *FS) Rename(sdir vfs.Ino, sname string, ddir vfs.Ino, dname string) err
 	}
 	// Add the new name first (a moment with two names is safe; a moment
 	// with zero is not).
-	if err := fs.dirInsert(nb, slotOff, slotLen, vfs.Ino(se.ino), se.ftype, dname); err != nil {
+	if err := layout.InsertDirent(nb.Data, slot, vfs.Ino(se.Ino), se.Type, dname); err != nil {
 		nb.Release()
 		return err
 	}
@@ -387,7 +397,7 @@ func (fs *FS) Rename(sdir vfs.Ino, sname string, ddir vfs.Ino, dname string) err
 			return err
 		}
 	}
-	rb, _, err := fs.dirRemove(&sin, sdir, sname)
+	rb, err := fs.dirRemove(&sin, sdir, sname)
 	if err != nil {
 		return err
 	}
@@ -400,23 +410,23 @@ func (fs *FS) Rename(sdir vfs.Ino, sname string, ddir vfs.Ino, dname string) err
 		return err
 	}
 	// Directories changing parents must repoint "..".
-	if se.ftype == vfs.TypeDir && sdir != ddir {
-		cin, err := fs.getLiveInode(vfs.Ino(se.ino))
+	if se.Type == vfs.TypeDir && sdir != ddir {
+		cin, err := fs.getLiveInode(vfs.Ino(se.Ino))
 		if err != nil {
 			return err
 		}
-		cb, _, err := fs.dirRemove(&cin, vfs.Ino(se.ino), "..")
+		cb, err := fs.dirRemove(&cin, vfs.Ino(se.Ino), "..")
 		if err != nil {
 			return err
 		}
 		cb.Release()
-		cb, err = fs.dirAdd(&cin, vfs.Ino(se.ino), "..", ddir, vfs.TypeDir)
+		cb, err = fs.dirAdd(&cin, vfs.Ino(se.Ino), "..", ddir, vfs.TypeDir)
 		if err != nil {
 			return err
 		}
 		fs.c.MarkDirty(cb)
 		cb.Release()
-		if err := fs.putInode(vfs.Ino(se.ino), &cin, false); err != nil {
+		if err := fs.putInode(vfs.Ino(se.Ino), &cin, false); err != nil {
 			return err
 		}
 		sin.Nlink--
@@ -438,12 +448,9 @@ func (fs *FS) Rename(sdir vfs.Ino, sname string, ddir vfs.Ino, dname string) err
 // ReadDir implements vfs.FileSystem.
 func (fs *FS) ReadDir(dir vfs.Ino) ([]vfs.DirEntry, error) {
 	defer fs.trk.Begin(obs.OpReadDir).End()
-	din, err := fs.getLiveInode(dir)
+	din, err := fs.dirInode(dir)
 	if err != nil {
 		return nil, err
-	}
-	if din.Type != vfs.TypeDir {
-		return nil, vfs.ErrNotDir
 	}
 	return fs.dirList(&din, dir)
 }
@@ -455,14 +462,7 @@ func (fs *FS) Stat(ino vfs.Ino) (vfs.Stat, error) {
 	if err != nil {
 		return vfs.Stat{}, err
 	}
-	return vfs.Stat{
-		Ino:    ino,
-		Type:   in.Type,
-		Nlink:  uint32(in.Nlink),
-		Size:   in.Size,
-		Blocks: int64(in.NBlocks),
-		Mtime:  in.Mtime,
-	}, nil
+	return in.Stat(ino), nil
 }
 
 // Truncate implements vfs.FileSystem.
@@ -476,8 +476,9 @@ func (fs *FS) Truncate(ino vfs.Ino, size int64) error {
 	if in.Type == vfs.TypeDir {
 		return vfs.ErrIsDir
 	}
-	if err := fs.truncate(&in, ino, size); err != nil {
+	if err := fs.tree.Truncate(&in, size); err != nil {
 		return err
 	}
+	in.Mtime = fs.clk.Now()
 	return fs.putInode(ino, &in, false)
 }

@@ -9,6 +9,8 @@
 package ffs
 
 import (
+	"cffs/internal/bmap"
+	"encoding/binary"
 	"fmt"
 
 	"cffs/internal/blockio"
@@ -100,44 +102,24 @@ func (s *super) dataStart(cg int) int64 {
 }
 
 func (s *super) encode(p []byte) {
-	le := leBytes{p}
-	le.pu32(0, Magic)
-	le.pu64(8, uint64(s.NBlocks))
-	le.pu32(16, uint32(s.CGBlocks))
-	le.pu32(20, uint32(s.NCG))
-	le.pu32(24, uint32(s.InodesPerCG))
+	le := binary.LittleEndian
+	le.PutUint32(p[0:], Magic)
+	le.PutUint64(p[8:], uint64(s.NBlocks))
+	le.PutUint32(p[16:], uint32(s.CGBlocks))
+	le.PutUint32(p[20:], uint32(s.NCG))
+	le.PutUint32(p[24:], uint32(s.InodesPerCG))
 }
 
 func (s *super) decode(p []byte) error {
-	le := leBytes{p}
-	if le.u32(0) != Magic {
-		return fmt.Errorf("ffs: bad superblock magic %#x", le.u32(0))
+	le := binary.LittleEndian
+	if le.Uint32(p[0:]) != Magic {
+		return fmt.Errorf("ffs: bad superblock magic %#x", le.Uint32(p[0:]))
 	}
-	s.NBlocks = int64(le.u64(8))
-	s.CGBlocks = int(le.u32(16))
-	s.NCG = int(le.u32(20))
-	s.InodesPerCG = int(le.u32(24))
+	s.NBlocks = int64(le.Uint64(p[8:]))
+	s.CGBlocks = int(le.Uint32(p[16:]))
+	s.NCG = int(le.Uint32(p[20:]))
+	s.InodesPerCG = int(le.Uint32(p[24:]))
 	return nil
-}
-
-// leBytes is a tiny little-endian accessor to keep encode/decode terse.
-type leBytes struct{ p []byte }
-
-func (b leBytes) pu32(off int, v uint32) {
-	b.p[off] = byte(v)
-	b.p[off+1] = byte(v >> 8)
-	b.p[off+2] = byte(v >> 16)
-	b.p[off+3] = byte(v >> 24)
-}
-func (b leBytes) u32(off int) uint32 {
-	return uint32(b.p[off]) | uint32(b.p[off+1])<<8 | uint32(b.p[off+2])<<16 | uint32(b.p[off+3])<<24
-}
-func (b leBytes) pu64(off int, v uint64) {
-	b.pu32(off, uint32(v))
-	b.pu32(off+4, uint32(v>>32))
-}
-func (b leBytes) u64(off int) uint64 {
-	return uint64(b.u32(off)) | uint64(b.u32(off+4))<<32
 }
 
 // Cylinder-group header block layout: block bitmap at cgBmapOff, inode
@@ -151,6 +133,8 @@ type FS struct {
 	clk  *sim.Clock
 	sb   super
 	opts Options
+
+	tree *bmap.Tree // block mapping over allocBlock/freeBlock (inode.go)
 
 	dirRotor int // next cylinder group for a new directory
 
@@ -216,6 +200,7 @@ func Mkfs(dev *blockio.Device, opts Options) (*FS, error) {
 			InodesPerCG: opts.InodesPerCG,
 		},
 	}
+	fs.tree = fs.newTree()
 	fs.attachMetrics(opts.Metrics, opts.Recorder)
 	// Superblock.
 	sb, err := fs.c.Alloc(0)
@@ -274,6 +259,7 @@ func Mount(dev *blockio.Device, opts Options) (*FS, error) {
 		clk:  dev.Disk().Clock(),
 		opts: opts,
 	}
+	fs.tree = fs.newTree()
 	fs.attachMetrics(opts.Metrics, opts.Recorder)
 	sb, err := fs.c.Read(0)
 	if err != nil {

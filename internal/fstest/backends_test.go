@@ -148,6 +148,7 @@ func TestBackendConformance(t *testing.T) {
 						return fs
 					},
 					Features: fstest.AllFeatures(),
+					Fsck:     fstest.FsckWith(core.Check),
 				}.Run(t)
 			})
 		}
@@ -170,22 +171,12 @@ func TestBackendOracle(t *testing.T) {
 				if testing.Short() {
 					ops = 600
 				}
-				dev := backendDevice(t, backend)
-				fs, err := core.Mkfs(dev, stack.opts)
+				fs, err := core.Mkfs(backendDevice(t, backend), stack.opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				fstest.RunOracle(t, fs, ops, seed)
-				if err := fs.Close(); err != nil {
-					t.Fatal(err)
-				}
-				rep, err := core.Check(dev, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !rep.Clean() {
-					t.Fatalf("image inconsistent after oracle run on %s backend", backend)
-				}
+				fstest.FsckWith(core.Check)(t, fs)
 			})
 		}
 	}

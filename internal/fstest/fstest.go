@@ -9,6 +9,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"cffs/internal/blockio"
@@ -44,6 +46,8 @@ func Cases() []Case {
 		{Name: "RenameSameDir", Needs: Features{Rename: true}, Fn: testRenameSameDir},
 		{Name: "RenameAcrossDirs", Needs: Features{Rename: true}, Fn: testRenameAcrossDirs},
 		{Name: "RenameReplace", Needs: Features{Rename: true, RenameReplace: true}, Fn: testRenameReplace},
+		{Name: "RenameParentNotDir", Needs: Features{Rename: true}, Fn: testRenameParentNotDir},
+		{Name: "RenameIntoOwnSubtree", Needs: Features{Rename: true}, Fn: testRenameIntoOwnSubtree, Fsck: true},
 		{Name: "ErrorCases", Fn: testErrorCases},
 		{Name: "NameValidation", Fn: testNameValidation},
 		{Name: "PersistenceAcrossFlush", Needs: Features{Flush: true}, Fn: testPersistenceAcrossFlush},
@@ -54,9 +58,10 @@ func Cases() []Case {
 
 // Run executes the whole conformance battery assuming a fully-featured
 // file system — the right call for the repo's own implementations, which
-// must support everything. Backends with gaps use Suite directly.
-func Run(t *testing.T, mk Factory) {
-	Suite{Factory: mk, Features: AllFeatures()}.Run(t)
+// must support everything. fsck is Suite.Fsck; nil where there is no
+// image to check. Backends with gaps use Suite directly.
+func Run(t *testing.T, mk Factory, fsck func(*testing.T, vfs.FileSystem)) {
+	Suite{Factory: mk, Features: AllFeatures(), Fsck: fsck}.Run(t)
 }
 
 // pattern produces deterministic, position-dependent content so that any
@@ -541,6 +546,109 @@ func testRenameReplace(t *testing.T, fs vfs.FileSystem) {
 	}
 	if _, err := fs.Lookup(fs.Root(), "src"); err == nil {
 		t.Fatal("source survived replacing rename")
+	}
+}
+
+// testRenameParentNotDir passes a regular file where Rename expects a
+// directory, on either side. Path-level callers never do (WalkDir has
+// already resolved the parent as a directory); an ino-level caller can,
+// and a file system that believes it writes a directory record over the
+// file's first data block.
+func testRenameParentNotDir(t *testing.T, fs vfs.FileSystem) {
+	root := fs.Root()
+	payload := []byte("hello world payload")
+	if err := vfs.WriteFile(fs, "/file", payload); err != nil {
+		t.Fatal(err)
+	}
+	file := mustWalk(t, fs, "/file")
+	if _, err := fs.Create(root, "src"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Rename(root, "src", file, "x"); !errors.Is(err, vfs.ErrNotDir) {
+		t.Errorf("rename into a regular file = %v, want ErrNotDir", err)
+	}
+	if err := fs.Rename(file, "src", root, "x"); !errors.Is(err, vfs.ErrNotDir) {
+		t.Errorf("rename out of a regular file = %v, want ErrNotDir", err)
+	}
+	if got, err := vfs.ReadFile(fs, "/file"); err != nil || !bytes.Equal(got, payload) {
+		t.Errorf("file used as a parent now reads %d bytes %.40q, %v", len(got), got, err)
+	}
+	if _, err := fs.Lookup(root, "src"); err != nil {
+		t.Errorf("source name disturbed by a refused rename: %v", err)
+	}
+	if _, err := fs.Lookup(root, "x"); !errors.Is(err, vfs.ErrNotExist) {
+		t.Errorf("refused rename left its destination name: %v", err)
+	}
+}
+
+// testRenameIntoOwnSubtree moves a directory to itself and to two
+// depths beneath itself. Each must be refused with ErrInvalid and change
+// nothing: carried out, the directory leaves its parent and joins its
+// own descendants — a cycle no path reaches, whose blocks stay allocated
+// until fsck. The suite checks the image afterwards (Case.Fsck).
+func testRenameIntoOwnSubtree(t *testing.T, fs vfs.FileSystem) {
+	root := fs.Root()
+	if _, err := vfs.MkdirAll(fs, "/a/b/c"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Mkdir(root, "other"); err != nil {
+		t.Fatal(err)
+	}
+	if err := vfs.WriteFile(fs, "/a/b/f", pattern(12, 3*blockio.BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	freeBlocks := func() int64 {
+		fb, ok := fs.(interface{ FreeBlocks() (int64, error) })
+		if !ok {
+			return 0
+		}
+		n, err := fb.FreeBlocks()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	listRoot := func() string {
+		ents, err := fs.ReadDir(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, fmt.Sprintf("%s:%v", e.Name, e.Type))
+		}
+		sort.Strings(names)
+		return strings.Join(names, " ")
+	}
+	wantFree, wantRoot := freeBlocks(), listRoot()
+
+	for _, dest := range []string{"/a", "/a/b", "/a/b/c"} {
+		if err := fs.Rename(root, "a", mustWalk(t, fs, dest), "x"); !errors.Is(err, vfs.ErrInvalid) {
+			t.Errorf("rename /a -> %s/x = %v, want ErrInvalid", dest, err)
+		}
+	}
+	if got := listRoot(); got != wantRoot {
+		t.Errorf("root lists %q after the refused renames, was %q", got, wantRoot)
+	}
+	if got := freeBlocks(); got != wantFree {
+		t.Errorf("free blocks %d after the refused renames, was %d", got, wantFree)
+	}
+	if got, err := vfs.ReadFile(fs, "/a/b/f"); err != nil || !bytes.Equal(got, pattern(12, 3*blockio.BlockSize)) {
+		t.Errorf("file beneath the directory lost: %v", err)
+	}
+	// A directory move that is not a cycle — here out of the subtree,
+	// then into a sibling — still goes through.
+	if err := fs.Rename(mustWalk(t, fs, "/a/b"), "c", root, "c"); err != nil {
+		t.Errorf("rename /a/b/c -> /c = %v", err)
+	}
+	if err := fs.Rename(root, "a", mustWalk(t, fs, "/other"), "a"); err != nil {
+		t.Errorf("rename /a -> /other/a = %v", err)
+	}
+	if _, err := vfs.Walk(fs, "/other/a/b/f"); err != nil {
+		t.Errorf("moved subtree unreachable: %v", err)
 	}
 }
 

@@ -15,8 +15,11 @@ import (
 	"sort"
 	"testing"
 
+	"cffs/internal/blockio"
 	"cffs/internal/core"
+	"cffs/internal/ffs"
 	"cffs/internal/fstest"
+	"cffs/internal/lfs"
 	"cffs/internal/store"
 	"cffs/internal/vfs"
 )
@@ -29,13 +32,34 @@ type fuzzPair struct {
 
 func newFuzzPair(t *testing.T) fuzzPair {
 	t.Helper()
+	return newFuzzPairOn(t, fuzzLayouts[0].mkfs)
+}
+
+// fuzzLayouts are the three on-disk layouts; targets whose subject is
+// the namespace ladder rather than C-FFS's own machinery run on all of
+// them, because the ladder is written three times.
+var fuzzLayouts = []struct {
+	name string
+	mkfs func(*blockio.Device) (vfs.FileSystem, error)
+}{
+	{"cffs", func(dev *blockio.Device) (vfs.FileSystem, error) {
+		return core.Mkfs(dev, core.Options{EmbedInodes: true, Grouping: true, Mode: core.ModeDelayed})
+	}},
+	{"ffs", func(dev *blockio.Device) (vfs.FileSystem, error) {
+		return ffs.Mkfs(dev, ffs.Options{Mode: ffs.ModeDelayed})
+	}},
+	{"lfs", func(dev *blockio.Device) (vfs.FileSystem, error) {
+		return lfs.Mkfs(dev, lfs.Options{})
+	}},
+}
+
+func newFuzzPairOn(t *testing.T, mkfs func(*blockio.Device) (vfs.FileSystem, error)) fuzzPair {
+	t.Helper()
 	bk, err := store.Open(store.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := core.Mkfs(bk.Device(), core.Options{
-		EmbedInodes: true, Grouping: true, Mode: core.ModeDelayed,
-	})
+	fs, err := mkfs(bk.Device())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +234,11 @@ func FuzzReadWrite(f *testing.F) {
 }
 
 // FuzzRename drives renames, links, and directory ops using two
-// fuzzer-chosen names plus a program selecting sources and targets.
+// fuzzer-chosen names plus a program selecting sources and targets, on
+// every layout. The picked paths include a directory and a place
+// beneath it, so a rename can aim a directory into its own subtree, and
+// op 5 makes an ino-level call with whatever a picked path resolves to
+// — a regular file, as often as not — in the parent's place.
 func FuzzRename(f *testing.F) {
 	f.Add("a", "b", []byte{0, 1, 2, 3})
 	f.Add("dir/sub", "x", []byte{4, 0, 5, 1, 2})
@@ -219,45 +247,68 @@ func FuzzRename(f *testing.F) {
 		if len(n1) > maxFuzzName || len(n2) > maxFuzzName {
 			t.Skip("names beyond interesting lengths")
 		}
-		pair := newFuzzPair(t)
-		// A small fixture so renames have something to collide with.
-		for _, fs := range []vfs.FileSystem{pair.fs, pair.ref} {
-			if _, err := vfs.MkdirAll(fs, "/d1/d2"); err != nil {
-				t.Fatal(err)
-			}
-			if err := vfs.WriteFile(fs, "/d1/keep", []byte("keep")); err != nil {
-				t.Fatal(err)
-			}
+		for _, layout := range fuzzLayouts {
+			fuzzRenameOn(t, newFuzzPairOn(t, layout.mkfs), n1, n2, ops)
 		}
-		paths := []string{"/" + n1, "/" + n2, "/d1/" + n1, "/d1/d2/" + n2, "/d1/keep", "/d1", "/d1/d2"}
-		pick := func(sel byte) string { return paths[int(sel)%len(paths)] }
-		p := &prog{data: ops}
-		for ops := 0; !p.done() && ops < maxFuzzOps; ops++ {
-			switch op := p.byte(); op % 5 {
-			case 0: // rename
-				from, to := pick(p.byte()), pick(p.byte())
-				agree(t, fmt.Sprintf("rename %q -> %q", from, to),
-					fuzzRename(pair.fs, from, to), fuzzRename(pair.ref, from, to))
-			case 1: // link
-				target, name := pick(p.byte()), pick(p.byte())
-				agree(t, fmt.Sprintf("link %q -> %q", target, name),
-					fuzzLink(pair.fs, target, name), fuzzLink(pair.ref, target, name))
-			case 2: // create a file at a picked path
-				pth := pick(p.byte())
-				_, errA := vfs.OpenFile(pair.fs, pth, vfs.OCreate)
-				_, errB := vfs.OpenFile(pair.ref, pth, vfs.OCreate)
-				agree(t, "create "+pth, errA, errB)
-			case 3: // mkdir
-				pth := pick(p.byte())
-				agree(t, "mkdir "+pth, fuzzMkdir(pair.fs, pth), fuzzMkdir(pair.ref, pth))
-			case 4: // remove
-				pth := pick(p.byte())
-				agree(t, "remove "+pth,
-					vfs.Remove(pair.fs, pth), vfs.Remove(pair.ref, pth))
-			}
-		}
-		sameTrees(t, pair)
 	})
+}
+
+func fuzzRenameOn(t *testing.T, pair fuzzPair, n1, n2 string, ops []byte) {
+	// A small fixture so renames have something to collide with.
+	for _, fs := range []vfs.FileSystem{pair.fs, pair.ref} {
+		if _, err := vfs.MkdirAll(fs, "/d1/d2"); err != nil {
+			t.Fatal(err)
+		}
+		if err := vfs.WriteFile(fs, "/d1/keep", []byte("keep")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	paths := []string{"/" + n1, "/" + n2, "/d1/" + n1, "/d1/d2/" + n2, "/d1/keep", "/d1", "/d1/d2"}
+	pick := func(sel byte) string { return paths[int(sel)%len(paths)] }
+	p := &prog{data: ops}
+	for ops := 0; !p.done() && ops < maxFuzzOps; ops++ {
+		switch op := p.byte(); op % 6 {
+		case 0: // rename
+			from, to := pick(p.byte()), pick(p.byte())
+			agree(t, fmt.Sprintf("rename %q -> %q", from, to),
+				fuzzRename(pair.fs, from, to), fuzzRename(pair.ref, from, to))
+		case 1: // link
+			target, name := pick(p.byte()), pick(p.byte())
+			agree(t, fmt.Sprintf("link %q -> %q", target, name),
+				fuzzLink(pair.fs, target, name), fuzzLink(pair.ref, target, name))
+		case 2: // create a file at a picked path
+			pth := pick(p.byte())
+			_, errA := vfs.OpenFile(pair.fs, pth, vfs.OCreate)
+			_, errB := vfs.OpenFile(pair.ref, pth, vfs.OCreate)
+			agree(t, "create "+pth, errA, errB)
+		case 3: // mkdir
+			pth := pick(p.byte())
+			agree(t, "mkdir "+pth, fuzzMkdir(pair.fs, pth), fuzzMkdir(pair.ref, pth))
+		case 4: // remove
+			pth := pick(p.byte())
+			agree(t, "remove "+pth,
+				vfs.Remove(pair.fs, pth), vfs.Remove(pair.ref, pth))
+		case 5: // ino-level call under whatever the path names
+			pth, which, name := pick(p.byte()), p.byte(), n1
+			agree(t, fmt.Sprintf("op %d %q under %q", which, name, pth),
+				fuzzUnder(pair.fs, pth, which, name), fuzzUnder(pair.ref, pth, which, name))
+		}
+	}
+	sameTrees(t, pair)
+}
+
+// fuzzUnder resolves pth and hands its ino to fstest.UnderFile as the
+// parent; /d1/keep is the source of the call that needs one.
+func fuzzUnder(fs vfs.FileSystem, pth string, which byte, name string) error {
+	parent, err := vfs.Walk(fs, pth)
+	if err != nil {
+		return err
+	}
+	d1, err := vfs.Walk(fs, "/d1")
+	if err != nil {
+		return err
+	}
+	return fstest.UnderFile(fs, parent, which, name, d1, "keep")
 }
 
 // FuzzOpenFlags explores the OpenFile flag lattice — every flag
@@ -360,7 +411,7 @@ func FuzzPathTraversal(f *testing.F) {
 // (Create, Mkdir, Link, Unlink, Rmdir, Rename, Lookup). The other
 // targets route names through vfs.Walk, where an embedded '/' is
 // split into components before the file system ever sees it — so
-// only this target exercises the checkName rejection of '/' and NUL
+// only this target exercises the vfs.CheckName rejection of '/' and NUL
 // inside one name field.
 func FuzzRawNames(f *testing.F) {
 	f.Add("a/b", "ok", []byte{0, 1, 2, 3, 4, 5})

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"cffs/internal/sim"
@@ -188,6 +189,48 @@ func RunOracle(t *testing.T, fs vfs.FileSystem, ops int, seed uint64) {
 			if errA == nil {
 				files = append(files, np)
 			}
+		case k < 93: // rename a directory, one time in three beneath itself
+			if len(dirs) < 2 {
+				continue
+			}
+			p := dirs[1+rng.Intn(len(dirs)-1)]
+			dest := pickDir()
+			if rng.Intn(3) == 0 {
+				dest = p // itself, or better a descendant: must be refused
+				for _, d := range dirs {
+					if strings.HasPrefix(d, p+"/") {
+						dest = d
+					}
+				}
+			}
+			np := join(dest, fmt.Sprintf("m%03d", seq%15))
+			seq++
+			errA := oracleRename(fs, p, np)
+			errB := oracleRename(ref, p, np)
+			mustAgree(t, op, fmt.Sprintf("rename dir %s -> %s", p, np), errA, errB)
+			if errA == nil {
+				// The whole subtree moved; keep the pool pointing at it.
+				for _, pool := range [][]string{dirs, files} {
+					for i, q := range pool {
+						if q == p || strings.HasPrefix(q, p+"/") {
+							pool[i] = np + q[len(p):]
+						}
+					}
+				}
+			}
+		case k < 95: // an ino-level call naming a regular file as the parent
+			p, ok := pickFile()
+			if !ok {
+				continue
+			}
+			name := fmt.Sprintf("u%02d", seq%10)
+			seq++
+			if rng.Intn(4) == 0 {
+				name = "." // the name is judged before the parent
+			}
+			which := byte(rng.Intn(underFileOps))
+			mustAgree(t, op, fmt.Sprintf("op %d under file %s", which, p),
+				oracleUnderFile(fs, p, which, name), oracleUnderFile(ref, p, which, name))
 		case k < 97: // sync or flush
 			if rng.Intn(2) == 0 {
 				if err := fs.Sync(); err != nil {
@@ -360,6 +403,48 @@ func oracleRename(fs vfs.FileSystem, from, to string) error {
 		return err
 	}
 	return fs.Rename(sdir, sname, ddir, dname)
+}
+
+// underFileOps is how many calls UnderFile chooses between.
+const underFileOps = 7
+
+// UnderFile makes one namespace call with parent where a directory
+// belongs; the fuzzers and the oracle pass a regular file. Callers that
+// resolve parents through vfs.WalkDir never do, so only an ino-level
+// caller — a test, or a tenant of the wire service holding a fid —
+// reaches the file systems' own directory checks. src/sname name an
+// existing entry for the one call that needs a source.
+func UnderFile(fs vfs.FileSystem, parent vfs.Ino, which byte, name string, src vfs.Ino, sname string) error {
+	var err error
+	switch which % underFileOps {
+	case 0:
+		_, err = fs.Create(parent, name)
+	case 1:
+		_, err = fs.Mkdir(parent, name)
+	case 2:
+		err = fs.Link(parent, name, parent)
+	case 3:
+		err = fs.Unlink(parent, name)
+	case 4:
+		err = fs.Rmdir(parent, name)
+	case 5:
+		err = fs.Rename(parent, name, fs.Root(), name)
+	default:
+		err = fs.Rename(src, sname, parent, name)
+	}
+	return err
+}
+
+func oracleUnderFile(fs vfs.FileSystem, p string, which byte, name string) error {
+	file, err := vfs.Walk(fs, p)
+	if err != nil {
+		return err
+	}
+	dir, base, err := vfs.WalkDir(fs, p)
+	if err != nil {
+		return err
+	}
+	return UnderFile(fs, file, which, name, dir, base)
 }
 
 func oracleLink(fs vfs.FileSystem, target, name string) error {

@@ -35,7 +35,8 @@ func NewRef() *Ref {
 	return fs
 }
 
-// checkName mirrors the real file systems' entry-name validation.
+// checkName mirrors vfs.CheckName, which the real file systems call. It
+// is a copy on purpose: the oracle must not call the code it judges.
 func checkName(name string) error {
 	if len(name) == 0 || name == "." || name == ".." {
 		return vfs.ErrInvalid
@@ -202,8 +203,8 @@ func (m *Ref) Rmdir(dir vfs.Ino, name string) error {
 }
 
 func (m *Ref) Rename(sdir vfs.Ino, sname string, ddir vfs.Ino, dname string) error {
-	// Core's order: both names, the source directory and entry, and only
-	// then the destination directory.
+	// Core's order: both names, the source directory and entry, the
+	// destination directory, and only then what the move would do to it.
 	if sname == "." || sname == ".." {
 		return vfs.ErrInvalid
 	}
@@ -227,6 +228,13 @@ func (m *Ref) Rename(sdir vfs.Ino, sname string, ddir vfs.Ino, dname string) err
 		// systems; falling through would unlink the node's only name
 		// before re-adding it.
 		return nil
+	}
+	if m.nodes[ino].typ == vfs.TypeDir && sd != dd {
+		// A directory moved beneath itself would leave the namespace.
+		parent := func(d vfs.Ino) (vfs.Ino, error) { return m.nodes[d].parent, nil }
+		if err := vfs.CheckNotBelow(ino, ddir, m.Root(), parent); err != nil {
+			return err
+		}
 	}
 	if old, ok := dd.children[dname]; ok {
 		if m.nodes[old].typ == vfs.TypeDir {

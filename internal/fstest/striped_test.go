@@ -15,6 +15,7 @@ import (
 	"cffs/internal/core"
 	"cffs/internal/disk"
 	"cffs/internal/ffs"
+	"cffs/internal/fsck"
 	"cffs/internal/fstest"
 	"cffs/internal/sched"
 	"cffs/internal/sim"
@@ -39,7 +40,7 @@ func stripedDevice(t *testing.T, n int) *blockio.Device {
 type fsMaker struct {
 	name string
 	mkfs func(dev *blockio.Device) (vfs.FileSystem, error)
-	fsck func(dev *blockio.Device) (bool, error)
+	fsck func(dev *blockio.Device, repair bool) (*fsck.Report, error)
 }
 
 func coreMaker(name string, opts core.Options) fsMaker {
@@ -48,13 +49,7 @@ func coreMaker(name string, opts core.Options) fsMaker {
 		mkfs: func(dev *blockio.Device) (vfs.FileSystem, error) {
 			return core.Mkfs(dev, opts)
 		},
-		fsck: func(dev *blockio.Device) (bool, error) {
-			rep, err := core.Check(dev, false)
-			if err != nil {
-				return false, err
-			}
-			return rep.Clean(), nil
-		},
+		fsck: core.Check,
 	}
 }
 
@@ -69,13 +64,7 @@ func allMakers() []fsMaker {
 			mkfs: func(dev *blockio.Device) (vfs.FileSystem, error) {
 				return ffs.Mkfs(dev, ffs.Options{Mode: ffs.ModeSync})
 			},
-			fsck: func(dev *blockio.Device) (bool, error) {
-				rep, err := ffs.Check(dev, false)
-				if err != nil {
-					return false, err
-				}
-				return rep.Clean(), nil
-			},
+			fsck: ffs.Check,
 		},
 	}
 }
@@ -95,7 +84,7 @@ func TestStripedConformance(t *testing.T) {
 						t.Fatal(err)
 					}
 					return fs
-				})
+				}, fstest.FsckWith(mk.fsck))
 			})
 		}
 	}
@@ -113,22 +102,12 @@ func TestStripedOracle(t *testing.T) {
 				if testing.Short() {
 					ops = 600
 				}
-				dev := stripedDevice(t, n)
-				fs, err := mk.mkfs(dev)
+				fs, err := mk.mkfs(stripedDevice(t, n))
 				if err != nil {
 					t.Fatal(err)
 				}
 				fstest.RunOracle(t, fs, ops, seed)
-				if err := fs.Close(); err != nil {
-					t.Fatal(err)
-				}
-				clean, err := mk.fsck(dev)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !clean {
-					t.Fatal("image inconsistent after oracle run on striped volume")
-				}
+				fstest.FsckWith(mk.fsck)(t, fs)
 			})
 		}
 	}

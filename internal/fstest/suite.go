@@ -3,6 +3,8 @@ package fstest
 import (
 	"testing"
 
+	"cffs/internal/blockio"
+	"cffs/internal/fsck"
 	"cffs/internal/vfs"
 )
 
@@ -65,6 +67,11 @@ type Case struct {
 	Name  string
 	Needs Features
 	Fn    func(*testing.T, vfs.FileSystem)
+
+	// Fsck marks a case whose damage, if any, is to the image rather
+	// than to anything the case can observe through the interface (an
+	// unreachable subtree, leaked blocks): after it, Suite.Fsck runs.
+	Fsck bool
 }
 
 // Suite runs the conformance battery against one backend with a declared
@@ -73,10 +80,33 @@ type Suite struct {
 	Factory  Factory
 	Features Features
 
+	// Fsck, when non-nil, closes the file system a Case.Fsck case used
+	// and fails the test unless its image checks clean offline. The
+	// suite cannot do this itself: the checkers live with the file
+	// systems, whose tests import this package.
+	Fsck func(*testing.T, vfs.FileSystem)
+
 	// SkipHook, when non-nil, observes each skip before it happens:
 	// the case name and the capabilities it wanted. Tests of the suite
 	// itself use it to prove that gating skips rather than passes.
 	SkipHook func(name string, missing []string)
+}
+
+// FsckWith adapts a file system package's offline checker to Suite.Fsck.
+func FsckWith(check func(*blockio.Device, bool) (*fsck.Report, error)) func(*testing.T, vfs.FileSystem) {
+	return func(t *testing.T, fs vfs.FileSystem) {
+		t.Helper()
+		if err := fs.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := check(fs.(interface{ Device() *blockio.Device }).Device(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Clean() {
+			t.Fatalf("image inconsistent: %v", rep.Problems)
+		}
+	}
 }
 
 // Run executes every case the backend's features allow and skips the
@@ -91,7 +121,11 @@ func (s Suite) Run(t *testing.T) {
 				}
 				t.Skipf("backend lacks %v", missing)
 			}
-			c.Fn(t, s.Factory(t))
+			fs := s.Factory(t)
+			c.Fn(t, fs)
+			if c.Fsck && s.Fsck != nil && !t.Failed() {
+				s.Fsck(t, fs)
+			}
 		})
 	}
 }

@@ -1,7 +1,8 @@
-// Package layout holds on-disk structures shared by both file systems:
-// the 128-byte inode and allocation bitmaps. Directory formats and
-// superblocks differ between the FFS baseline and C-FFS and live with
-// their owners.
+// Package layout holds the on-disk structures more than one file system
+// shares: the 128-byte inode, allocation bitmaps, the directory hash
+// index, and the classic variable-length directory record of the two
+// conventional baselines. C-FFS's slot directory and every superblock
+// live with their owners.
 package layout
 
 import (
@@ -57,6 +58,18 @@ type Inode struct {
 
 // Alive reports whether the inode is in use.
 func (ino *Inode) Alive() bool { return ino.Type != vfs.TypeInvalid }
+
+// Stat is the inode's vfs.Stat under the number n.
+func (ino *Inode) Stat(n vfs.Ino) vfs.Stat {
+	return vfs.Stat{
+		Ino:    n,
+		Type:   ino.Type,
+		Nlink:  uint32(ino.Nlink),
+		Size:   ino.Size,
+		Blocks: int64(ino.NBlocks),
+		Mtime:  ino.Mtime,
+	}
+}
 
 // Encode writes the inode into a 128-byte slice.
 func (ino *Inode) Encode(p []byte) {

@@ -8,63 +8,23 @@ import (
 	"cffs/internal/vfs"
 )
 
-// Directories use the classic variable-length record format (ino,
-// reclen, namelen, ftype, name), the same shape as the FFS baseline.
-// Scans are read-only through the cache; mutations go through
-// updateFileBlock so directory blocks follow the log like any data.
+// Directories are the classic variable-length records of
+// layout/dirent.go, the same format as the FFS baseline. What is lfs's
+// own is how a block changes: scans are read-only through the cache,
+// and every mutation goes through updateFileBlock, so directory blocks
+// follow the log like any data.
 
-const direntHdr = 8
-
-func direntSize(namelen int) int { return (direntHdr + namelen + 3) &^ 3 }
-
-type dirent struct {
-	ino    uint32
-	reclen int
-	ftype  vfs.FileType
-	name   string
-	lb     int64 // directory block index holding this record
-	off    int   // byte offset within the block
-}
-
-func (e *dirent) used() int { return direntSize(len(e.name)) }
-
-func decodeDirent(p []byte, off int) (dirent, error) {
-	if off+direntHdr > len(p) {
-		return dirent{}, fmt.Errorf("lfs: dirent at %d overruns block", off)
-	}
-	e := dirent{
-		ino:    leBytes{p}.u32(off),
-		reclen: int(p[off+4]) | int(p[off+5])<<8,
-		ftype:  vfs.FileType(p[off+7]),
-		off:    off,
-	}
-	nl := int(p[off+6])
-	if e.reclen < direntSize(nl) || off+e.reclen > len(p) || e.reclen%4 != 0 {
-		return dirent{}, fmt.Errorf("lfs: corrupt dirent at %d", off)
-	}
-	e.name = string(p[off+direntHdr : off+direntHdr+nl])
-	return e, nil
-}
-
-func encodeDirent(p []byte, off int, ino uint32, reclen int, ftype vfs.FileType, name string) {
-	leBytes{p}.pu32(off, ino)
-	p[off+4] = byte(reclen)
-	p[off+5] = byte(reclen >> 8)
-	p[off+6] = byte(len(name))
-	p[off+7] = byte(ftype)
-	copy(p[off+direntHdr:], name)
-	for i := off + direntHdr + len(name); i < off+direntSize(len(name)) && i < len(p); i++ {
-		p[i] = 0
-	}
+// recLoc places a record: the directory block holding it and its offset.
+type recLoc struct {
+	lb  int64
+	off int
 }
 
 // initDirData writes "." and ".." into a new directory's first block.
 func (fs *FS) initDirData(in *layout.Inode, self, parent vfs.Ino) error {
-	err := fs.updateFileBlock(in, self, 0, func(p []byte) {
-		encodeDirent(p, 0, 0, blockio.BlockSize, vfs.TypeInvalid, "")
-		dot := direntSize(1)
-		encodeDirent(p, 0, uint32(self), dot, vfs.TypeDir, ".")
-		encodeDirent(p, dot, uint32(parent), blockio.BlockSize-dot, vfs.TypeDir, "..")
+	err := fs.updateFileBlock(in, self, 0, func(p []byte) error {
+		layout.InitDirDots(p, self, parent)
+		return nil
 	})
 	if err != nil {
 		return err
@@ -76,10 +36,10 @@ func (fs *FS) initDirData(in *layout.Inode, self, parent vfs.Ino) error {
 
 // forEachDirent walks every record; fn returning true stops the walk
 // and reports found.
-func (fs *FS) forEachDirent(in *layout.Inode, fn func(e dirent) bool) (bool, error) {
+func (fs *FS) forEachDirent(in *layout.Inode, fn func(lb int64, e layout.Dirent) bool) (bool, error) {
 	nblocks := in.Size / blockio.BlockSize
 	for lb := int64(0); lb < nblocks; lb++ {
-		addr, err := fs.bmap(in, lb)
+		addr, err := fs.tree.Resolve(in, lb)
 		if err != nil {
 			return false, err
 		}
@@ -90,163 +50,117 @@ func (fs *FS) forEachDirent(in *layout.Inode, fn func(e dirent) bool) (bool, err
 		if err != nil {
 			return false, err
 		}
-		for off := 0; off < blockio.BlockSize; {
-			e, err := decodeDirent(b.Data, off)
-			if err != nil {
-				b.Release()
-				return false, err
-			}
-			e.lb = lb
-			if fn(e) {
-				b.Release()
-				return true, nil
-			}
-			off += e.reclen
-		}
+		found, err := layout.EachDirent(b.Data, func(e layout.Dirent) bool { return fn(lb, e) })
 		b.Release()
+		if found || err != nil {
+			return found, err
+		}
 	}
 	return false, nil
 }
 
 // dirLookup finds a live entry by name.
-func (fs *FS) dirLookup(in *layout.Inode, name string) (dirent, error) {
-	var found dirent
-	ok, err := fs.forEachDirent(in, func(e dirent) bool {
-		if e.ino != 0 && e.name == name {
-			found = e
+func (fs *FS) dirLookup(in *layout.Inode, name string) (layout.Dirent, recLoc, error) {
+	var found layout.Dirent
+	var at recLoc
+	ok, err := fs.forEachDirent(in, func(lb int64, e layout.Dirent) bool {
+		if e.Ino != 0 && e.Name == name {
+			found, at = e, recLoc{lb, e.Off}
 			return true
 		}
 		return false
 	})
 	if err != nil {
-		return dirent{}, err
+		return layout.Dirent{}, recLoc{}, err
 	}
 	if !ok {
-		return dirent{}, fmt.Errorf("lfs: %q: %w", name, vfs.ErrNotExist)
+		return layout.Dirent{}, recLoc{}, fmt.Errorf("lfs: %q: %w", name, vfs.ErrNotExist)
 	}
-	return found, nil
+	return found, at, nil
 }
 
 // dirPrepareAdd runs the existence check and the free-slot search as
 // one scan, so a create pays one directory traversal instead of two.
 // grow=true means no slot fits and dirInsertAt must append a block;
 // a present name returns ErrExist.
-func (fs *FS) dirPrepareAdd(in *layout.Inode, name string) (slot dirent, grow bool, err error) {
-	need := direntSize(len(name))
-	var free dirent
-	haveFree := false
-	found, err := fs.forEachDirent(in, func(e dirent) bool {
-		if e.ino != 0 && e.name == name {
+func (fs *FS) dirPrepareAdd(in *layout.Inode, name string) (free recLoc, grow bool, err error) {
+	need := layout.DirentSize(len(name))
+	grow = true
+	found, err := fs.forEachDirent(in, func(lb int64, e layout.Dirent) bool {
+		if e.Ino != 0 && e.Name == name {
 			return true
 		}
-		if !haveFree &&
-			((e.ino == 0 && e.reclen >= need) || (e.ino != 0 && e.reclen-e.used() >= need)) {
-			free, haveFree = e, true
+		if grow && e.Fits(need) {
+			free, grow = recLoc{lb, e.Off}, false
 		}
 		return false
 	})
 	if err != nil {
-		return dirent{}, false, err
+		return recLoc{}, false, err
 	}
 	if found {
-		return dirent{}, false, fmt.Errorf("lfs: %q: %w", name, vfs.ErrExist)
+		return recLoc{}, false, fmt.Errorf("lfs: %q: %w", name, vfs.ErrExist)
 	}
-	return free, !haveFree, nil
+	return free, grow, nil
 }
 
 // dirInsertAt writes a live entry into the place dirPrepareAdd found.
-func (fs *FS) dirInsertAt(in *layout.Inode, dir vfs.Ino, slot dirent, grow bool, ino vfs.Ino, ftype vfs.FileType, name string) error {
-	if grow {
-		lb := in.Size / blockio.BlockSize
-		if err := fs.updateFileBlock(in, dir, lb, func(p []byte) {
-			encodeDirent(p, 0, 0, blockio.BlockSize, vfs.TypeInvalid, "")
-			encodeDirent(p, 0, uint32(ino), blockio.BlockSize, ftype, name)
-		}); err != nil {
-			return err
-		}
-		in.Size += blockio.BlockSize
-		in.Mtime = fs.clk.Now()
-		fs.dirty[dir] = true
-		return nil
+func (fs *FS) dirInsertAt(in *layout.Inode, dir vfs.Ino, at recLoc, grow bool, ino vfs.Ino, ftype vfs.FileType, name string) error {
+	if !grow {
+		return fs.updateFileBlock(in, dir, at.lb, func(p []byte) error {
+			return layout.InsertDirent(p, at.off, ino, ftype, name)
+		})
 	}
-	return fs.updateFileBlock(in, dir, slot.lb, func(p []byte) {
-		e, err := decodeDirent(p, slot.off)
-		if err != nil {
-			return
-		}
-		if e.ino == 0 {
-			encodeDirent(p, slot.off, uint32(ino), e.reclen, ftype, name)
-		} else {
-			usedLen := e.used()
-			encodeDirent(p, slot.off, e.ino, usedLen, e.ftype, e.name)
-			encodeDirent(p, slot.off+usedLen, uint32(ino), e.reclen-usedLen, ftype, name)
-		}
+	err := fs.updateFileBlock(in, dir, in.Size/blockio.BlockSize, func(p []byte) error {
+		layout.InitDirBlock(p)
+		return layout.InsertDirent(p, 0, ino, ftype, name)
 	})
+	if err != nil {
+		return err
+	}
+	in.Size += blockio.BlockSize
+	in.Mtime = fs.clk.Now()
+	fs.dirty[dir] = true
+	return nil
 }
 
 // dirAdd inserts a live entry, growing the directory when needed. The
 // caller has already ruled out a duplicate name (or, as with rename's
 // ".." rewrite, knows there is none).
 func (fs *FS) dirAdd(in *layout.Inode, dir vfs.Ino, name string, ino vfs.Ino, ftype vfs.FileType) error {
-	if len(name) == 0 || len(name) > vfs.MaxNameLen {
-		return fmt.Errorf("lfs: name %q: %w", name, vfs.ErrNameTooLong)
-	}
-	need := direntSize(len(name))
-	var slot dirent
-	ok, err := fs.forEachDirent(in, func(e dirent) bool {
-		if e.ino == 0 && e.reclen >= need {
-			slot = e
-			return true
-		}
-		if e.ino != 0 && e.reclen-e.used() >= need {
-			slot = e
-			return true
-		}
-		return false
+	need := layout.DirentSize(len(name))
+	var at recLoc
+	ok, err := fs.forEachDirent(in, func(lb int64, e layout.Dirent) bool {
+		at = recLoc{lb, e.Off}
+		return e.Fits(need)
 	})
 	if err != nil {
 		return err
 	}
-	return fs.dirInsertAt(in, dir, slot, !ok, ino, ftype, name)
+	return fs.dirInsertAt(in, dir, at, !ok, ino, ftype, name)
 }
 
 // dirRemove deletes a live entry by name.
-func (fs *FS) dirRemove(in *layout.Inode, dir vfs.Ino, name string) (dirent, error) {
-	var prev, target dirent
-	var havePrev bool
-	ok, err := fs.forEachDirent(in, func(e dirent) bool {
-		if e.ino != 0 && e.name == name {
-			target = e
-			return true
-		}
-		prev, havePrev = e, true
-		return false
+func (fs *FS) dirRemove(in *layout.Inode, dir vfs.Ino, name string) error {
+	_, at, err := fs.dirLookup(in, name)
+	if err != nil {
+		return err
+	}
+	err = fs.updateFileBlock(in, dir, at.lb, func(p []byte) error {
+		return layout.RemoveDirent(p, at.off)
 	})
 	if err != nil {
-		return dirent{}, err
-	}
-	if !ok {
-		return dirent{}, fmt.Errorf("lfs: %q: %w", name, vfs.ErrNotExist)
-	}
-	err = fs.updateFileBlock(in, dir, target.lb, func(p []byte) {
-		if target.off > 0 && havePrev && prev.lb == target.lb && prev.off+prev.reclen == target.off {
-			encodeDirent(p, prev.off, prev.ino, prev.reclen+target.reclen, prev.ftype, prev.name)
-		} else {
-			encodeDirent(p, target.off, 0, target.reclen, vfs.TypeInvalid, "")
-		}
-	})
-	if err != nil {
-		return dirent{}, err
+		return err
 	}
 	in.Mtime = fs.clk.Now()
 	fs.dirty[dir] = true
-	return target, nil
+	return nil
 }
 
 // dirIsEmpty reports whether only "." and ".." remain.
 func (fs *FS) dirIsEmpty(in *layout.Inode) (bool, error) {
-	found, err := fs.forEachDirent(in, func(e dirent) bool {
-		return e.ino != 0 && e.name != "." && e.name != ".."
+	found, err := fs.forEachDirent(in, func(_ int64, e layout.Dirent) bool {
+		return e.Ino != 0 && e.Name != "." && e.Name != ".."
 	})
 	return !found, err
 }
@@ -254,9 +168,9 @@ func (fs *FS) dirIsEmpty(in *layout.Inode) (bool, error) {
 // dirList collects live entries, excluding dot entries.
 func (fs *FS) dirList(in *layout.Inode) ([]vfs.DirEntry, error) {
 	var ents []vfs.DirEntry
-	_, err := fs.forEachDirent(in, func(e dirent) bool {
-		if e.ino != 0 && e.name != "." && e.name != ".." {
-			ents = append(ents, vfs.DirEntry{Name: e.name, Ino: vfs.Ino(e.ino), Type: e.ftype})
+	_, err := fs.forEachDirent(in, func(_ int64, e layout.Dirent) bool {
+		if e.Ino != 0 && e.Name != "." && e.Name != ".." {
+			ents = append(ents, vfs.DirEntry{Name: e.Name, Ino: vfs.Ino(e.Ino), Type: e.Type})
 		}
 		return false
 	})

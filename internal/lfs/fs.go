@@ -21,11 +21,11 @@ func (fs *FS) Lookup(dir vfs.Ino, name string) (vfs.Ino, error) {
 	if err != nil {
 		return 0, err
 	}
-	e, err := fs.dirLookup(din, name)
+	e, _, err := fs.dirLookup(din, name)
 	if err != nil {
 		return 0, err
 	}
-	return vfs.Ino(e.ino), nil
+	return vfs.Ino(e.Ino), nil
 }
 
 func (fs *FS) dirInode(dir vfs.Ino) (*layout.Inode, error) {
@@ -39,26 +39,21 @@ func (fs *FS) dirInode(dir vfs.Ino) (*layout.Inode, error) {
 	return din, nil
 }
 
-func checkName(name string) error {
-	if len(name) == 0 || name == "." || name == ".." {
-		return vfs.ErrInvalid
+// parentDir reports what a directory's ".." entry names.
+func (fs *FS) parentDir(dir vfs.Ino) (vfs.Ino, error) {
+	din, err := fs.dirInode(dir)
+	if err != nil {
+		return 0, err
 	}
-	if len(name) > vfs.MaxNameLen {
-		return fmt.Errorf("lfs: name %q: %w", name, vfs.ErrNameTooLong)
-	}
-	for i := 0; i < len(name); i++ {
-		if name[i] == '/' || name[i] == 0 {
-			return fmt.Errorf("lfs: name %q: %w", name, vfs.ErrInvalid)
-		}
-	}
-	return nil
+	e, _, err := fs.dirLookup(din, "..")
+	return vfs.Ino(e.Ino), err
 }
 
 // Create implements vfs.FileSystem.
 func (fs *FS) Create(dir vfs.Ino, name string) (vfs.Ino, error) {
 	defer fs.trk.Begin(obs.OpCreate).End()
 	fs.wb.Admit()
-	if err := checkName(name); err != nil {
+	if err := vfs.CheckName(name); err != nil {
 		return 0, err
 	}
 	din, err := fs.dirInode(dir)
@@ -90,7 +85,7 @@ func (fs *FS) Create(dir vfs.Ino, name string) (vfs.Ino, error) {
 func (fs *FS) Mkdir(dir vfs.Ino, name string) (vfs.Ino, error) {
 	defer fs.trk.Begin(obs.OpMkdir).End()
 	fs.wb.Admit()
-	if err := checkName(name); err != nil {
+	if err := vfs.CheckName(name); err != nil {
 		return 0, err
 	}
 	din, err := fs.dirInode(dir)
@@ -124,7 +119,7 @@ func (fs *FS) Mkdir(dir vfs.Ino, name string) (vfs.Ino, error) {
 func (fs *FS) Link(dir vfs.Ino, name string, target vfs.Ino) error {
 	defer fs.trk.Begin(obs.OpLink).End()
 	fs.wb.Admit()
-	if err := checkName(name); err != nil {
+	if err := vfs.CheckName(name); err != nil {
 		return err
 	}
 	din, err := fs.dirInode(dir)
@@ -163,17 +158,17 @@ func (fs *FS) Unlink(dir vfs.Ino, name string) error {
 	if err != nil {
 		return err
 	}
-	e, err := fs.dirLookup(din, name)
+	e, _, err := fs.dirLookup(din, name)
 	if err != nil {
 		return err
 	}
-	if e.ftype == vfs.TypeDir {
+	if e.Type == vfs.TypeDir {
 		return vfs.ErrIsDir
 	}
-	if _, err := fs.dirRemove(din, dir, name); err != nil {
+	if err := fs.dirRemove(din, dir, name); err != nil {
 		return err
 	}
-	ino := vfs.Ino(e.ino)
+	ino := vfs.Ino(e.Ino)
 	tin, err := fs.getLiveInode(ino)
 	if err != nil {
 		return err
@@ -201,14 +196,14 @@ func (fs *FS) Rmdir(dir vfs.Ino, name string) error {
 	if err != nil {
 		return err
 	}
-	e, err := fs.dirLookup(din, name)
+	e, _, err := fs.dirLookup(din, name)
 	if err != nil {
 		return err
 	}
-	if e.ftype != vfs.TypeDir {
+	if e.Type != vfs.TypeDir {
 		return vfs.ErrNotDir
 	}
-	ino := vfs.Ino(e.ino)
+	ino := vfs.Ino(e.Ino)
 	cin, err := fs.getLiveInode(ino)
 	if err != nil {
 		return err
@@ -220,7 +215,7 @@ func (fs *FS) Rmdir(dir vfs.Ino, name string) error {
 	if !empty {
 		return vfs.ErrNotEmpty
 	}
-	if _, err := fs.dirRemove(din, dir, name); err != nil {
+	if err := fs.dirRemove(din, dir, name); err != nil {
 		return err
 	}
 	din.Nlink--
@@ -239,14 +234,14 @@ func (fs *FS) Rename(sdir vfs.Ino, sname string, ddir vfs.Ino, dname string) err
 	if sname == "." || sname == ".." {
 		return vfs.ErrInvalid
 	}
-	if err := checkName(dname); err != nil {
+	if err := vfs.CheckName(dname); err != nil {
 		return err
 	}
 	sin, err := fs.dirInode(sdir)
 	if err != nil {
 		return err
 	}
-	se, err := fs.dirLookup(sin, sname)
+	se, _, err := fs.dirLookup(sin, sname)
 	if err != nil {
 		return err
 	}
@@ -257,15 +252,20 @@ func (fs *FS) Rename(sdir vfs.Ino, sname string, ddir vfs.Ino, dname string) err
 	if err != nil {
 		return err
 	}
+	if se.Type == vfs.TypeDir && sdir != ddir {
+		if err := vfs.CheckNotBelow(vfs.Ino(se.Ino), ddir, RootIno, fs.parentDir); err != nil {
+			return err
+		}
+	}
 	// One scan resolves the destination; only the replace path (name
 	// taken) pays a second look to learn what it is replacing.
 	slot, grow, err := fs.dirPrepareAdd(din, dname)
 	if errors.Is(err, vfs.ErrExist) {
-		de, lerr := fs.dirLookup(din, dname)
+		de, _, lerr := fs.dirLookup(din, dname)
 		if lerr != nil {
 			return lerr
 		}
-		if de.ftype == vfs.TypeDir {
+		if de.Type == vfs.TypeDir {
 			return vfs.ErrIsDir
 		}
 		if err := fs.Unlink(ddir, dname); err != nil {
@@ -276,22 +276,22 @@ func (fs *FS) Rename(sdir vfs.Ino, sname string, ddir vfs.Ino, dname string) err
 	if err != nil {
 		return err
 	}
-	if err := fs.dirInsertAt(din, ddir, slot, grow, vfs.Ino(se.ino), se.ftype, dname); err != nil {
+	if err := fs.dirInsertAt(din, ddir, slot, grow, vfs.Ino(se.Ino), se.Type, dname); err != nil {
 		return err
 	}
-	if _, err := fs.dirRemove(sin, sdir, sname); err != nil {
+	if err := fs.dirRemove(sin, sdir, sname); err != nil {
 		return err
 	}
 	din.Mtime = fs.clk.Now()
 	fs.dirty[ddir] = true
 	fs.dirty[sdir] = true
-	if se.ftype == vfs.TypeDir && sdir != ddir {
-		child := vfs.Ino(se.ino)
+	if se.Type == vfs.TypeDir && sdir != ddir {
+		child := vfs.Ino(se.Ino)
 		cin, err := fs.getLiveInode(child)
 		if err != nil {
 			return err
 		}
-		if _, err := fs.dirRemove(cin, child, ".."); err != nil {
+		if err := fs.dirRemove(cin, child, ".."); err != nil {
 			return err
 		}
 		if err := fs.dirAdd(cin, child, "..", ddir, vfs.TypeDir); err != nil {
@@ -321,14 +321,7 @@ func (fs *FS) Stat(ino vfs.Ino) (vfs.Stat, error) {
 	if err != nil {
 		return vfs.Stat{}, err
 	}
-	return vfs.Stat{
-		Ino:    ino,
-		Type:   in.Type,
-		Nlink:  uint32(in.Nlink),
-		Size:   in.Size,
-		Blocks: int64(in.NBlocks),
-		Mtime:  in.Mtime,
-	}, nil
+	return in.Stat(ino), nil
 }
 
 // Truncate implements vfs.FileSystem.

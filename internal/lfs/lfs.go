@@ -25,6 +25,8 @@
 package lfs
 
 import (
+	"cffs/internal/bmap"
+	"encoding/binary"
 	"fmt"
 
 	"cffs/internal/blockio"
@@ -138,6 +140,12 @@ type FS struct {
 	inoRefs   map[int64]int // logged inode block -> live inode count
 	free      []vfs.Ino     // free inode numbers
 
+	// tree resolves file blocks and frees them on truncate. Writers do
+	// not map through it: updateFileBlock remaps a block to the log head
+	// on every write, which is the layout, so only the tree's read side
+	// and its free loop are shared with the update-in-place layouts.
+	tree *bmap.Tree
+
 	cleaning bool // reentrancy guard for the cleaner
 
 	trk *obs.OpTracker // op attribution; disabled when Options.Metrics is nil
@@ -192,6 +200,13 @@ func newFS(dev *blockio.Device, opts Options) *FS {
 		dirty:    make(map[vfs.Ino]bool),
 		inoRefs:  make(map[int64]int),
 	}
+	// Freed blocks are not discarded one by one: a dead block stays
+	// reachable from the durable checkpoint until the next one lands
+	// (discardEmptied), so Free leaves the truncate's discard run empty.
+	fs.tree = bmap.New(fs.c, bmap.Alloc{Free: func(addr int64, _ *blockio.DiscardRun) error {
+		fs.dead(addr)
+		return nil
+	}})
 	for ino := vfs.Ino(MaxInodes); ino >= 1; ino-- {
 		fs.free = append(fs.free, ino)
 	}
@@ -226,15 +241,15 @@ func Mount(dev *blockio.Device, opts Options) (*FS, error) {
 	if err != nil {
 		return nil, err
 	}
-	le := leBytes{cp.Data}
-	if le.u32(0) != Magic {
+	le := binary.LittleEndian
+	if le.Uint32(cp.Data[0:]) != Magic {
 		cp.Release()
-		return nil, fmt.Errorf("lfs: bad checkpoint magic %#x", le.u32(0))
+		return nil, fmt.Errorf("lfs: bad checkpoint magic %#x", le.Uint32(cp.Data[0:]))
 	}
-	fs.curSeg = int(le.u32(4))
-	fs.curOff = int(le.u32(8))
+	fs.curSeg = int(le.Uint32(cp.Data[4:]))
+	fs.curOff = int(le.Uint32(cp.Data[8:]))
 	for i := 0; i < imapBlocks; i++ {
-		fs.imapHome[i] = le.u32(16 + i*4)
+		fs.imapHome[i] = le.Uint32(cp.Data[16+i*4:])
 	}
 	cp.Release()
 	// Load the inode map.
@@ -248,7 +263,7 @@ func Mount(dev *blockio.Device, opts Options) (*FS, error) {
 			return nil, err
 		}
 		for s := 0; s < inosPerImapBlock; s++ {
-			fs.imap[i*inosPerImapBlock+s] = leBytes{b.Data}.u32(s * 4)
+			fs.imap[i*inosPerImapBlock+s] = binary.LittleEndian.Uint32(b.Data[s*4:])
 		}
 		b.Release()
 		fs.account(int64(home), owner{kind: ownImapBlock, idx: int64(i)})
@@ -290,7 +305,7 @@ func (fs *FS) rebuild() error {
 func (fs *FS) accountInode(ino vfs.Ino, in *layout.Inode) error {
 	nblocks := (in.Size + blockio.BlockSize - 1) / blockio.BlockSize
 	for lb := int64(0); lb < nblocks; lb++ {
-		addr, err := fs.bmap(in, lb)
+		addr, err := fs.tree.Resolve(in, lb)
 		if err != nil {
 			return err
 		}
@@ -308,7 +323,7 @@ func (fs *FS) accountInode(ino vfs.Ino, in *layout.Inode) error {
 			return err
 		}
 		for s := 0; s < layout.PtrsPerBlock; s++ {
-			if p := (leBytes{db.Data}).u32(s * 4); p != 0 {
+			if p := binary.LittleEndian.Uint32(db.Data[s*4:]); p != 0 {
 				fs.account(int64(p), owner{ino: ino, kind: ownIndir2, idx: int64(s)})
 			}
 		}
@@ -383,27 +398,14 @@ func (fs *FS) writeCheckpoint() error {
 	if err != nil {
 		return err
 	}
-	le := leBytes{cp.Data}
-	le.pu32(0, Magic)
-	le.pu32(4, uint32(fs.curSeg))
-	le.pu32(8, uint32(fs.curOff))
+	le := binary.LittleEndian
+	le.PutUint32(cp.Data[0:], Magic)
+	le.PutUint32(cp.Data[4:], uint32(fs.curSeg))
+	le.PutUint32(cp.Data[8:], uint32(fs.curOff))
 	for i := 0; i < imapBlocks; i++ {
-		le.pu32(16+i*4, fs.imapHome[i])
+		le.PutUint32(cp.Data[16+i*4:], fs.imapHome[i])
 	}
 	err = fs.c.WriteSync(cp)
 	cp.Release()
 	return err
-}
-
-// leBytes is a little-endian accessor over a byte slice.
-type leBytes struct{ p []byte }
-
-func (b leBytes) pu32(off int, v uint32) {
-	b.p[off] = byte(v)
-	b.p[off+1] = byte(v >> 8)
-	b.p[off+2] = byte(v >> 16)
-	b.p[off+3] = byte(v >> 24)
-}
-func (b leBytes) u32(off int) uint32 {
-	return uint32(b.p[off]) | uint32(b.p[off+1])<<8 | uint32(b.p[off+2])<<16 | uint32(b.p[off+3])<<24
 }

@@ -2,11 +2,13 @@ package lfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
 	"cffs/internal/blockio"
 	"cffs/internal/disk"
+	"cffs/internal/fault"
 	"cffs/internal/fstest"
 	"cffs/internal/sched"
 	"cffs/internal/sim"
@@ -30,7 +32,7 @@ func newLFS(t *testing.T) *FS {
 func TestConformance(t *testing.T) {
 	fstest.Run(t, func(t *testing.T) vfs.FileSystem {
 		return newLFS(t)
-	})
+	}, fstest.FsckWith(Check))
 }
 
 func TestOracle(t *testing.T) {
@@ -344,5 +346,69 @@ func TestCheckAfterUse(t *testing.T) {
 	}
 	if rep.Files != 30 || rep.Dirs != 1 {
 		t.Fatalf("check found %d files %d dirs, want 30/1", rep.Files, rep.Dirs)
+	}
+}
+
+// TestTruncateReportsReadError: shrinking inside a block whose pointer
+// block cannot be read must fail, not return nil with the stale tail
+// left past the new end. The seed guarded the tail zeroing with
+// `err == nil && addr != 0` and so dropped the error.
+func TestTruncateReportsReadError(t *testing.T) {
+	spec := disk.SeagateST31200()
+	if err := spec.Validate(); err != nil { // also derives the geometry's size
+		t.Fatal(err)
+	}
+	fst := fault.NewStore(disk.NewMemStore(spec.Geom.Bytes()), 1)
+	d, err := disk.New(spec, sim.NewClock(), fst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := Mkfs(blockio.NewDevice(d, sched.CLook{}), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ino, err := fs.Create(fs.Root(), "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 15 whole blocks and a bit: the last block sits behind the
+	// single-indirect block, and a cut inside it frees nothing, so the
+	// tail zeroing is the only step that has to resolve it.
+	size := int64(15*blockio.BlockSize + 500)
+	if _, err := fs.WriteAt(ino, bytes.Repeat([]byte{0xAB}, int(size)), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	in, err := fs.getLiveInode(ino)
+	if err != nil || in.Indir == 0 {
+		t.Fatalf("no indirect block to fail: %v", err)
+	}
+	fst.FailSector(int64(in.Indir) * blockio.SectorsPerBlock)
+	if err := fs.Truncate(ino, size-400); !errors.Is(err, fault.ErrReadFault) {
+		t.Fatalf("truncate across an unreadable pointer block = %v, want the read fault", err)
+	}
+	if st, err := fs.Stat(ino); err != nil || st.Size != size {
+		t.Fatalf("failed truncate changed the size to %d (%v), want %d", st.Size, err, size)
+	}
+}
+
+// TestDirInsertReportsBadSlot: an insert aimed at bytes that do not
+// decode as a record must fail. The seed's mutate closure returned
+// silently, so the create that called it reported success having
+// entered no name.
+func TestDirInsertReportsBadSlot(t *testing.T) {
+	fs := newLFS(t)
+	din, err := fs.dirInode(RootIno)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Offset 4 is inside the "." record's header, not on a boundary.
+	if err := fs.dirInsertAt(din, RootIno, recLoc{lb: 0, off: 4}, false, 99, vfs.TypeReg, "ghost"); err == nil {
+		t.Fatal("insert at a non-record offset reported success")
+	}
+	if _, err := fs.Lookup(RootIno, "ghost"); !errors.Is(err, vfs.ErrNotExist) {
+		t.Fatalf("lookup after the failed insert = %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package lfs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -162,9 +163,9 @@ func (fs *FS) flushImap() error {
 		if err != nil {
 			return err
 		}
-		le := leBytes{b.Data}
+		le := binary.LittleEndian
 		for s := 0; s < inosPerImapBlock; s++ {
-			le.pu32(s*4, fs.imap[i*inosPerImapBlock+s])
+			le.PutUint32(b.Data[s*4:], fs.imap[i*inosPerImapBlock+s])
 		}
 		fs.c.MarkDirty(b)
 		b.Release()
@@ -177,133 +178,70 @@ func (fs *FS) flushImap() error {
 	return nil
 }
 
-// bmap resolves file block lb to its log address (0 = hole). Read-only:
-// writers go through updateFileBlock, which performs the remapping.
-func (fs *FS) bmap(in *layout.Inode, lb int64) (int64, error) {
-	if lb < 0 || lb >= layout.MaxFileBlocks {
-		return 0, fmt.Errorf("lfs: block %d: %w", lb, vfs.ErrInvalid)
-	}
-	if lb < layout.NDirect {
-		return int64(in.Direct[lb]), nil
-	}
+// ensurePtrBlocks makes the pointer blocks on the way to file block lb
+// exist, logging fresh ones as needed. Each is logged under the owner
+// the cleaner will need to repoint it, which is why this is not the
+// shared tree's allocating walk.
+func (fs *FS) ensurePtrBlocks(in *layout.Inode, ino vfs.Ino, lb int64) error {
 	rel := lb - layout.NDirect
-	if rel < layout.PtrsPerBlock {
-		if in.Indir == 0 {
-			return 0, nil
-		}
-		ib, err := fs.c.Read(int64(in.Indir))
-		if err != nil {
-			return 0, err
-		}
-		p := leBytes{ib.Data}.u32(int(rel) * 4)
-		ib.Release()
-		return int64(p), nil
+	if rel < 0 {
+		return nil
 	}
-	rel -= layout.PtrsPerBlock
-	if in.DIndir == 0 {
-		return 0, nil
-	}
-	db, err := fs.c.Read(int64(in.DIndir))
-	if err != nil {
-		return 0, err
-	}
-	l2 := leBytes{db.Data}.u32(int(rel/layout.PtrsPerBlock) * 4)
-	db.Release()
-	if l2 == 0 {
-		return 0, nil
-	}
-	ib, err := fs.c.Read(int64(l2))
-	if err != nil {
-		return 0, err
-	}
-	p := leBytes{ib.Data}.u32(int(rel%layout.PtrsPerBlock) * 4)
-	ib.Release()
-	return int64(p), nil
-}
-
-// ensureIndirect makes the indirect chain for lb exist, logging fresh
-// indirect blocks as needed, and returns a setter for the mapping slot.
-func (fs *FS) ensureIndirect(in *layout.Inode, ino vfs.Ino, lb int64) (func(uint32) error, error) {
-	if lb < layout.NDirect {
-		return func(a uint32) error { in.Direct[lb] = a; return nil }, nil
-	}
-	rel := lb - layout.NDirect
-	newMeta := func(kind ownerKind, idx int64) (int64, error) {
+	newMeta := func(at *uint32, kind ownerKind, idx int64) error {
 		addr, err := fs.allocLog(owner{ino: ino, kind: kind, idx: idx})
-		if err != nil {
-			return 0, err
-		}
-		b, err := fs.c.Alloc(addr)
-		if err != nil {
-			return 0, err
-		}
-		for i := range b.Data {
-			b.Data[i] = 0
-		}
-		fs.c.MarkDirty(b)
-		b.Release()
-		in.NBlocks++
-		return addr, nil
-	}
-	var indir int64
-	var slot int64
-	if rel < layout.PtrsPerBlock {
-		if in.Indir == 0 {
-			a, err := newMeta(ownIndir1, 0)
-			if err != nil {
-				return nil, err
-			}
-			in.Indir = uint32(a)
-			fs.dirty[ino] = true
-		}
-		indir, slot = int64(in.Indir), rel
-	} else {
-		rel -= layout.PtrsPerBlock
-		if in.DIndir == 0 {
-			a, err := newMeta(ownDIndir, 0)
-			if err != nil {
-				return nil, err
-			}
-			in.DIndir = uint32(a)
-			fs.dirty[ino] = true
-		}
-		db, err := fs.c.Read(int64(in.DIndir))
-		if err != nil {
-			return nil, err
-		}
-		l2slot := rel / layout.PtrsPerBlock
-		l2 := leBytes{db.Data}.u32(int(l2slot) * 4)
-		if l2 == 0 {
-			a, err := newMeta(ownIndir2, l2slot)
-			if err != nil {
-				db.Release()
-				return nil, err
-			}
-			leBytes{db.Data}.pu32(int(l2slot)*4, uint32(a))
-			fs.c.MarkDirty(db)
-			l2 = uint32(a)
-		}
-		db.Release()
-		indir, slot = int64(l2), rel%layout.PtrsPerBlock
-	}
-	return func(a uint32) error {
-		ib, err := fs.c.Read(indir)
 		if err != nil {
 			return err
 		}
-		leBytes{ib.Data}.pu32(int(slot)*4, a)
-		fs.c.MarkDirty(ib)
-		ib.Release()
+		b, err := fs.c.Alloc(addr)
+		if err != nil {
+			return err
+		}
+		clear(b.Data)
+		fs.c.MarkDirty(b)
+		b.Release()
+		in.NBlocks++
+		*at = uint32(addr)
+		fs.dirty[ino] = true
 		return nil
-	}, nil
+	}
+	if rel < layout.PtrsPerBlock {
+		if in.Indir != 0 {
+			return nil
+		}
+		return newMeta(&in.Indir, ownIndir1, 0)
+	}
+	rel -= layout.PtrsPerBlock
+	if in.DIndir == 0 {
+		if err := newMeta(&in.DIndir, ownDIndir, 0); err != nil {
+			return err
+		}
+	}
+	db, err := fs.c.Read(int64(in.DIndir))
+	if err != nil {
+		return err
+	}
+	defer db.Release()
+	l2slot := rel / layout.PtrsPerBlock
+	if binary.LittleEndian.Uint32(db.Data[l2slot*4:]) != 0 {
+		return nil
+	}
+	var l2 uint32
+	if err := newMeta(&l2, ownIndir2, l2slot); err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint32(db.Data[l2slot*4:], l2)
+	fs.c.MarkDirty(db)
+	return nil
 }
 
 // updateFileBlock applies mutate to file block lb, remapping it to the
 // log head unless its current copy is still dirty in the cache (in which
 // case the pending copy is updated in place — one logged copy per
-// segment write, as in real LFS).
-func (fs *FS) updateFileBlock(in *layout.Inode, ino vfs.Ino, lb int64, mutate func(p []byte)) error {
-	old, err := fs.bmap(in, lb)
+// segment write, as in real LFS). A mutate that fails has left the bytes
+// as they were; the remap still completes, so the tree stays whole, and
+// the error is returned.
+func (fs *FS) updateFileBlock(in *layout.Inode, ino vfs.Ino, lb int64, mutate func(p []byte) error) error {
+	old, err := fs.tree.Resolve(in, lb)
 	if err != nil {
 		return err
 	}
@@ -313,14 +251,13 @@ func (fs *FS) updateFileBlock(in *layout.Inode, ino vfs.Ino, lb int64, mutate fu
 			if err != nil {
 				return err
 			}
-			mutate(bb.Data)
+			err = mutate(bb.Data)
 			fs.c.MarkDirty(bb)
 			bb.Release()
-			return nil
+			return err
 		}
 	}
-	set, err := fs.ensureIndirect(in, ino, lb)
-	if err != nil {
+	if err := fs.ensurePtrBlocks(in, ino, lb); err != nil {
 		return err
 	}
 	addr, err := fs.allocLog(owner{ino: ino, kind: ownData, idx: lb})
@@ -344,72 +281,38 @@ func (fs *FS) updateFileBlock(in *layout.Inode, ino vfs.Ino, lb int64, mutate fu
 		}
 		in.NBlocks++
 	}
-	mutate(b.Data)
+	merr := mutate(b.Data)
 	fs.c.MarkDirty(b)
 	b.Release()
 	if old != 0 {
 		fs.dead(old)
 	}
-	if err := set(uint32(addr)); err != nil {
+	if err := fs.setMapping(in, lb, uint32(addr)); err != nil {
 		return err
 	}
 	fs.dirty[ino] = true
-	return nil
+	return merr
 }
 
-// truncate frees blocks at or beyond newSize.
+// truncate frees blocks at or beyond newSize. The tail of the block the
+// new end falls in is zeroed like any other write to it: through the log.
 func (fs *FS) truncate(in *layout.Inode, ino vfs.Ino, newSize int64) error {
 	if newSize < 0 {
 		return vfs.ErrInvalid
 	}
-	oldBlocks := (in.Size + blockio.BlockSize - 1) / blockio.BlockSize
-	keep := (newSize + blockio.BlockSize - 1) / blockio.BlockSize
-	for lb := keep; lb < oldBlocks; lb++ {
-		addr, err := fs.bmap(in, lb)
-		if err != nil {
-			return err
-		}
-		if addr == 0 {
-			continue
-		}
-		fs.dead(addr)
-		in.NBlocks--
-		if lb < layout.NDirect {
-			in.Direct[lb] = 0
-		} else if err := fs.setPtr(in, lb, 0); err != nil {
-			return err
-		}
-	}
-	if keep <= layout.NDirect {
-		if in.Indir != 0 {
-			fs.dead(int64(in.Indir))
-			in.Indir = 0
-			in.NBlocks--
-		}
-		if in.DIndir != 0 {
-			db, err := fs.c.Read(int64(in.DIndir))
-			if err != nil {
-				return err
-			}
-			for s := 0; s < layout.PtrsPerBlock; s++ {
-				if p := (leBytes{db.Data}).u32(s * 4); p != 0 {
-					fs.dead(int64(p))
-					in.NBlocks--
-				}
-			}
-			db.Release()
-			fs.dead(int64(in.DIndir))
-			in.DIndir = 0
-			in.NBlocks--
-		}
+	if err := fs.tree.Shrink(in, (newSize+blockio.BlockSize-1)/blockio.BlockSize); err != nil {
+		return err
 	}
 	if newSize < in.Size && newSize%blockio.BlockSize != 0 {
 		lb := newSize / blockio.BlockSize
-		if addr, err := fs.bmap(in, lb); err == nil && addr != 0 {
-			if err := fs.updateFileBlock(in, ino, lb, func(p []byte) {
-				for i := newSize % blockio.BlockSize; i < blockio.BlockSize; i++ {
-					p[i] = 0
-				}
+		addr, err := fs.tree.Resolve(in, lb)
+		if err != nil {
+			return err
+		}
+		if addr != 0 {
+			if err := fs.updateFileBlock(in, ino, lb, func(p []byte) error {
+				clear(p[newSize%blockio.BlockSize:])
+				return nil
 			}); err != nil {
 				return err
 			}
@@ -448,7 +351,7 @@ func (fs *FS) ReadAt(ino vfs.Ino, p []byte, off int64) (int, error) {
 		if n > len(p)-read {
 			n = len(p) - read
 		}
-		addr, err := fs.bmap(in, lb)
+		addr, err := fs.tree.Resolve(in, lb)
 		if err != nil {
 			return read, err
 		}
@@ -493,8 +396,9 @@ func (fs *FS) WriteAt(ino vfs.Ino, p []byte, off int64) (int, error) {
 			n = len(p) - written
 		}
 		chunk := p[written : written+n]
-		if err := fs.updateFileBlock(in, ino, lb, func(buf []byte) {
+		if err := fs.updateFileBlock(in, ino, lb, func(buf []byte) error {
 			copy(buf[bo:bo+n], chunk)
+			return nil
 		}); err != nil {
 			return written, err
 		}

@@ -1,6 +1,7 @@
 package lfs
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"cffs/internal/layout"
@@ -201,7 +202,7 @@ func (fs *FS) repoint(ow owner, old, dst int64) error {
 		if err != nil {
 			return err
 		}
-		if err := fs.setPtr(in, ow.idx, uint32(dst)); err != nil {
+		if err := fs.setMapping(in, ow.idx, uint32(dst)); err != nil {
 			return err
 		}
 		fs.dirty[ow.ino] = true
@@ -228,7 +229,7 @@ func (fs *FS) repoint(ow owner, old, dst int64) error {
 		if err != nil {
 			return err
 		}
-		leBytes{db.Data}.pu32(int(ow.idx)*4, uint32(dst))
+		binary.LittleEndian.PutUint32(db.Data[int(ow.idx)*4:], uint32(dst))
 		fs.c.MarkDirty(db)
 		db.Release()
 	case ownInodeBlock:
@@ -255,37 +256,13 @@ func (fs *FS) repoint(ow owner, old, dst int64) error {
 	return nil
 }
 
-// setPtr points file block idx of an inode at a new address (the
-// mirror of bmap for the cleaner). The mapping must already exist.
-func (fs *FS) setPtr(in *layout.Inode, lb int64, addr uint32) error {
-	if lb < layout.NDirect {
-		in.Direct[lb] = addr
-		return nil
+// setMapping points file block lb of an inode at a new log address. The
+// pointer blocks on the way must exist: the writer has just ensured
+// them, and the cleaner moves only blocks the tree already reaches.
+func (fs *FS) setMapping(in *layout.Inode, lb int64, addr uint32) error {
+	ok, err := fs.tree.SetMapping(in, lb, addr)
+	if err == nil && !ok {
+		err = fmt.Errorf("lfs: file block %d mapped through a missing pointer block", lb)
 	}
-	rel := lb - layout.NDirect
-	var indir uint32
-	var slot int64
-	if rel < layout.PtrsPerBlock {
-		indir, slot = in.Indir, rel
-	} else {
-		rel -= layout.PtrsPerBlock
-		db, err := fs.c.Read(int64(in.DIndir))
-		if err != nil {
-			return err
-		}
-		indir = leBytes{db.Data}.u32(int(rel/layout.PtrsPerBlock) * 4)
-		db.Release()
-		slot = rel % layout.PtrsPerBlock
-	}
-	if indir == 0 {
-		return fmt.Errorf("lfs: setPtr through missing indirect block (lb %d)", lb)
-	}
-	ib, err := fs.c.Read(int64(indir))
-	if err != nil {
-		return err
-	}
-	leBytes{ib.Data}.pu32(int(slot)*4, addr)
-	fs.c.MarkDirty(ib)
-	ib.Release()
-	return nil
+	return err
 }

@@ -284,6 +284,45 @@ func TestWalkEscapeAfterRename(t *testing.T) {
 	}
 }
 
+// TestRenameIntoOwnSubtreeOverWire: Trename hands fid inos straight to
+// the file system, so a tenant can aim a directory at its own
+// descendant. The refusal must arrive as the stable invalid-argument
+// code, not as text, and must leave the directory where it was.
+func TestRenameIntoOwnSubtreeOverWire(t *testing.T) {
+	_, lb := testServer(t, srv.Config{}, "alpha")
+	c := dialClient(t, lb)
+	root, err := c.Attach("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := root.Mkdir("a"); err != nil {
+		t.Fatal(err)
+	}
+	a, err := root.Walk("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Mkdir("b"); err != nil {
+		t.Fatal(err)
+	}
+	b, err := root.Walk("a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dst := range []*srv.Fid{a, b} {
+		err := root.Rename("a", dst, "c")
+		if !errors.Is(err, vfs.ErrInvalid) {
+			t.Fatalf("rename a into its own subtree = %v, want ErrInvalid", err)
+		}
+		if code := srv.ErrCode(err); code != srv.ErrCode(vfs.ErrInvalid) {
+			t.Fatalf("wire code %d, want the invalid-argument code %d", code, srv.ErrCode(vfs.ErrInvalid))
+		}
+	}
+	if _, err := root.Walk("a", "b"); err != nil {
+		t.Fatalf("directory gone after the refused renames: %v", err)
+	}
+}
+
 // TestOpenModeMapping cross-checks the wire mode → vfs flag mapping
 // against vfs.OpenFile on the same shapes: the lattice the fuzz corpus
 // pins down must hold end to end through the protocol.

@@ -5,7 +5,10 @@
 // both implementations.
 package vfs
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // Ino identifies a file within a file system. Zero is never a valid Ino.
 //
@@ -69,6 +72,47 @@ var (
 // entry header, the name, and an embedded inode together fit in half a
 // sector (see the core package's directory layout).
 const MaxNameLen = 110
+
+// CheckName validates a name about to be entered into a directory, the
+// one lattice every file system applies: empty and dot names are
+// ErrInvalid, then length, then byte content. '/' can never be resolved
+// back by Walk (it splits on it) and NUL would let a name's on-disk
+// bytes diverge from what string APIs observe, so both are rejected
+// outright.
+func CheckName(name string) error {
+	if len(name) == 0 || name == "." || name == ".." {
+		return ErrInvalid
+	}
+	if len(name) > MaxNameLen {
+		return fmt.Errorf("name %q: %w", name, ErrNameTooLong)
+	}
+	for i := 0; i < len(name); i++ {
+		if name[i] == '/' || name[i] == 0 {
+			return fmt.Errorf("name %q: %w", name, ErrInvalid)
+		}
+	}
+	return nil
+}
+
+// CheckNotBelow refuses, with ErrInvalid, to move directory moved into
+// ddir when ddir is moved itself or lies beneath it: the rename would
+// detach the subtree into a cycle no path reaches. It walks from ddir
+// up to root through parent, which reports a directory's "..".
+func CheckNotBelow(moved, ddir, root Ino, parent func(Ino) (Ino, error)) error {
+	for d := ddir; ; {
+		if d == moved {
+			return fmt.Errorf("rename into the moved directory's own subtree: %w", ErrInvalid)
+		}
+		if d == root {
+			return nil
+		}
+		up, err := parent(d)
+		if err != nil {
+			return err
+		}
+		d = up
+	}
+}
 
 // FileSystem is the interface both file systems implement. All methods
 // are synchronous with respect to simulated time: any disk I/O they
